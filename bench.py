@@ -101,7 +101,6 @@ def run_cpg_build(num_cpus: int) -> dict:
         docs_factory,
         out,
         f"bench-{n}-v5",
-        num_partitions=32,
         force_shuffle_link=bool(os.environ.get("JOERN_RAY_FORCE_SHUFFLE")),
     )
     wall = time.perf_counter() - t0

@@ -87,23 +87,31 @@ def _node_meta(nodes_ds, ids, columns=("id", "label", "order", "argument_index")
     return pa.concat_tables(parts) if parts else None
 
 
-class _FrontierFilter:
-    """map_batches UDF over the materialized flow projection: emit
-    (next, from) pairs whose match-end is in the broadcast frontier."""
+# Per-process frontier memo: the hop filter runs as plain TASKS (an actor
+# pool per hop outlived the call and held cluster CPUs), and each worker
+# process decodes a hop's broadcast frontier once.
+_FRONTIER_MEMO: dict = {}
 
-    def __init__(self, frontier_ref, direction: str = "back") -> None:
+
+def _frontier_filter_fn(frontier_ref, direction: str = "back"):
+    """Task UDF factory over the materialized flow projection: emit
+    (next, from) pairs whose match-end is in the broadcast frontier;
+    the closure carries only the ObjectRef."""
+    match_col, emit_col = ("obj", "subj") if direction == "back" else ("subj", "obj")
+    key = frontier_ref.hex()
+
+    def _fn(batch: pa.Table) -> pa.Table:
         import ray
 
-        f = ray.get(frontier_ref) if not isinstance(frontier_ref, (set, frozenset, np.ndarray)) else frontier_ref
-        self.frontier = _ids_array(f)
-        self.match_col, self.emit_col = ("obj", "subj") if direction == "back" else ("subj", "obj")
+        frontier = _FRONTIER_MEMO.get(key)
+        if frontier is None:
+            if len(_FRONTIER_MEMO) > 4:
+                _FRONTIER_MEMO.clear()
+            frontier = _FRONTIER_MEMO[key] = _ids_array(ray.get(frontier_ref))
+        b = batch.filter(pc.is_in(batch.column(match_col), value_set=frontier))
+        return pa.table({"next": b.column(emit_col), "from": b.column(match_col)})
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        m = pc.is_in(batch.column(self.match_col), value_set=self.frontier)
-        b = batch.filter(m)
-        return pa.table(
-            {"next": b.column(self.emit_col), "from": b.column(self.match_col)}
-        )
+    return _fn
 
 
 def _flow_projection(edges_ds_factory, preds: tuple):
@@ -199,12 +207,8 @@ def _hop(flow_ds, frontier: np.ndarray, direction: str):
 
     if frontier.size > FRONTIER_BROADCAST_GATE:
         return _hop_join(flow_ds, frontier, direction)
-    fref = ray.put(frontier)
     hits = flow_ds.map_batches(
-        _FrontierFilter,
-        fn_constructor_args=(fref, direction),
-        batch_format="pyarrow",
-        concurrency=2,
+        _frontier_filter_fn(ray.put(frontier), direction), batch_format="pyarrow"
     )
     parts = list(hits.iter_batches(batch_format="pyarrow", batch_size=None))
     if not parts:

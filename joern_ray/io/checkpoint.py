@@ -7,15 +7,21 @@ is skipped and its Parquet output is read back instead of recomputed.
 
 Each checkpoint directory holds the stage's Parquet files plus
 `_manifest.json` recording: stage name, input fingerprint, engine
-version, row count (from Parquet footers — no data scan), file list and
-wall time.  Final graph materialization additionally partitions by
-`part = subj % P` with one manifest per partition so a killed run skips
-finished partitions (north rule: per-partition lineage + metrics).
+version, row count (from Parquet footers — no data scan), bytes on
+disk, file list and wall time.  Final graph materialization additionally
+partitions by `part = subj % P` with one manifest per partition so a
+killed run skips finished partitions (north rule: per-partition lineage
++ metrics); those manifests record the width P they were written at.
+
+`exchange_width` sizes every shuffle of a build from the parse
+checkpoint's measured bytes instead of fixed widths; `ROWS_PER_FILE`
+coalesces the small tables Ray splits into many blocks.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 
@@ -82,19 +88,24 @@ def manifest_path(path: str) -> str:
     return os.path.join(path, "_manifest.json")
 
 
-def manifest_matches(path: str, fingerprint: str) -> bool:
-    mp = manifest_path(path)
-    if not os.path.exists(mp):
-        return False
+def read_manifest(path: str) -> dict | None:
     try:
-        with open(mp) as f:
-            m = json.load(f)
+        with open(manifest_path(path)) as f:
+            return json.load(f)
     except (OSError, json.JSONDecodeError):
-        return False
+        return None
+
+
+def manifest_matches(path: str, fingerprint: str, width: int | None = None) -> bool:
+    """A complete manifest for this fingerprint and engine version — and,
+    when `width` is given, written at that exchange width."""
+    m = read_manifest(path)
     return (
-        m.get("input_fingerprint") == fingerprint
+        m is not None
+        and m.get("input_fingerprint") == fingerprint
         and m.get("engine_version") == ENGINE_VERSION
         and m.get("complete") is True
+        and (width is None or m.get("width") == width)
     )
 
 
@@ -107,6 +118,7 @@ def write_manifest(
         "input_fingerprint": fingerprint,
         "engine_version": ENGINE_VERSION,
         "rows": rows,
+        "bytes": sum(os.path.getsize(f) for f in files),
         "files": [os.path.basename(f) for f in files],
         "wall_s": round(wall_s, 3),
         "complete": True,
@@ -120,7 +132,14 @@ def write_manifest(
     return m
 
 
-def checkpoint(ds_factory, path: str, stage: str, fingerprint: str, partition_cols=None):
+def checkpoint(
+    ds_factory,
+    path: str,
+    stage: str,
+    fingerprint: str,
+    partition_cols=None,
+    min_rows_per_file: int | None = None,
+):
     """Run `ds_factory()` and write its Dataset to `path` unless a valid
     manifest already covers it; return a Dataset read back from disk.
 
@@ -129,6 +148,9 @@ def checkpoint(ds_factory, path: str, stage: str, fingerprint: str, partition_co
     the fix for Ray Data re-running upstream stages once per consumer.
     `partition_cols` hive-partitions the checkpoint (e.g. by row_kind) so
     consumers of one kind scan only that kind's files.
+    `min_rows_per_file` (normally `ROWS_PER_FILE`) coalesces the output:
+    a table Ray split into many blocks is otherwise written as many tiny
+    files.
     """
     import shutil as _shutil
 
@@ -139,10 +161,11 @@ def checkpoint(ds_factory, path: str, stage: str, fingerprint: str, partition_co
         if os.path.isdir(path):  # stale/partial output: clear it
             _shutil.rmtree(path)
         ds = ds_factory()
-        if partition_cols:
-            ds.write_parquet(path, partition_cols=partition_cols)
-        else:
-            ds.write_parquet(path)
+        ds.write_parquet(
+            path,
+            partition_cols=partition_cols,
+            min_rows_per_file=min_rows_per_file,
+        )
         if not os.path.isdir(path):
             # a 0-row Dataset writes no files at all; materialize an
             # empty parquet carrying the schema so read-back and the
@@ -158,41 +181,77 @@ def checkpoint(ds_factory, path: str, stage: str, fingerprint: str, partition_co
     return ray.data.read_parquet(path)
 
 
-def partitioned_write(
-    ds,
-    path: str,
-    stage: str,
-    fingerprint: str,
-    num_partitions: int = 64,
-):
-    """Final materialization: `part = hash-id % P` → groupby("part") →
-    one sorted Parquet file + manifest per partition.
+# Width rule: one partition per _TARGET_BYTES of measured input.
+_TARGET_BYTES = 64 << 20
+
+# `min_rows_per_file` of every write downstream of parse: _TARGET_BYTES
+# over the widest in-memory (Arrow) row measured on a 3,000-doc build,
+# ~250 B (parse union rows 146-247 B per row kind, which every downstream
+# table projects: canonical_mt 184, dims 150, equivalences 16), so a
+# write task buffers at most ~64 MiB.  Compressed bytes on disk would not
+# do: the mostly-null parse union stores ~10 B per row, which let a write
+# task buffer ~20x the target.
+ROWS_PER_FILE = _TARGET_BYTES // 256
+
+
+def exchange_width(nbytes: int) -> int:
+    """Partition count from an input's measured bytes on disk (Hyper
+    Dimension Shuffle, VLDB'19: choose repartition width from data
+    volume).  No fixed cap: the count grows with the input, so each
+    task's share stays near _TARGET_BYTES of input at any scale.  It
+    depends on the input alone, never on the cluster's size."""
+    return max(1, math.ceil(nbytes / _TARGET_BYTES))
+
+
+# edge columns in `partitioned_write`'s sort and dedup order
+_EDGE_COLS = ("subj", "pred", "obj", "variable")
+
+
+def partitioned_write(ds, path: str, stage: str, fingerprint: str, num_partitions: int):
+    """Final edge materialization: `part = subj % P` → groupby("part") →
+    one Parquet file, sorted by (subj, pred, obj, variable), + manifest
+    per partition.  P is the build's `exchange_width`.  The layout is
+    fixed, never probed with `ds.schema()`, which would launch an extra
+    execution of the lazy upstream.
 
     Why not `write_parquet(partition_cols=...)`: that writes one file per
     (input block × partition) — observed 22k tiny files for 128 MB.  The
     groupby shuffle costs one exchange but yields P right-sized files.
 
-    Resume: partitions whose manifest already matches are filtered out
-    BEFORE the shuffle (rows dropped map-side), so a restarted run pays
-    only for unfinished partitions; within-partition sort makes files
-    byte-stable across runs (north rule: kill/restart → byte-identical
-    output)."""
+    Resume: partitions whose manifest matches the fingerprint AND width
+    are filtered out BEFORE the shuffle (rows dropped map-side), so a
+    restarted run pays only for unfinished partitions.  Every other
+    partition directory is cleared first, including any written at
+    another width: `subj % P` under two widths assigns rows to different
+    partitions, so mixing them would drop or duplicate rows.
+    Within-partition sort makes files byte-stable across runs (north
+    rule: kill/restart → byte-identical output)."""
+    import shutil
+
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
-    key = "subj" if "subj" in ds.schema().names else "id"
     os.makedirs(path, exist_ok=True)
     done = frozenset(
         k
         for k in range(num_partitions)
-        if manifest_matches(os.path.join(path, f"part={k}"), fingerprint)
+        if manifest_matches(os.path.join(path, f"part={k}"), fingerprint, num_partitions)
     )
+    # the root manifest marks completion; every partition directory that
+    # is not a finished partition at THIS width — a killed write's
+    # leftovers, or any partition of another width — is cleared
+    if os.path.exists(manifest_path(path)):
+        os.remove(manifest_path(path))
+    for d in os.listdir(path):
+        if d.startswith("part=") and int(d[len("part="):]) not in done:
+            shutil.rmtree(os.path.join(path, d))
+    wx = {"width": num_partitions}
     t0 = time.perf_counter()
 
     def add_part(batch: pa.Table) -> pa.Table:
-        vals = batch.column(key).to_numpy(zero_copy_only=False).astype(np.uint64)
+        vals = batch.column("subj").to_numpy(zero_copy_only=False).astype(np.uint64)
         part = (vals % np.uint64(num_partitions)).astype(np.int32)
         batch = batch.append_column("part", pa.array(part))
         if done:
@@ -200,27 +259,20 @@ def partitioned_write(
             batch = batch.filter(pa.array(keep))
         return batch
 
-    sort_cols = [
-        c
-        for c in (key, "pred", "obj", "variable", "label", "full_name")
-        if c in ds.schema().names
-    ]
-    # edge-shaped tables get the global edge-duplication guard (reference
+    # the global edge-duplication guard (reference
     # `DynamicCallLinker.scala:181-192` checks existing edges before
     # adding): two linker passes resolving the same call must emit ONE
     # edge.  Partitioning is by hash(subj), so a within-partition dedup
     # after the sort IS global over this root — no extra shuffle.
-    is_edges = key == "subj"
-
     def write_group(batch: pa.Table) -> pa.Table:
         part = batch.column("part")[0].as_py()
         batch = batch.take(
-            pc.sort_indices(batch, sort_keys=[(c, "ascending") for c in sort_cols])
+            pc.sort_indices(batch, sort_keys=[(c, "ascending") for c in _EDGE_COLS])
         ).drop_columns(["part"])
-        if is_edges and batch.num_rows > 1:
+        if batch.num_rows > 1:
             keep = np.zeros(batch.num_rows, dtype=bool)
             keep[0] = True
-            for c in ("subj", "pred", "obj", "variable"):
+            for c in _EDGE_COLS:
                 col = batch.column(c)
                 neq = pc.not_equal(col.slice(1), col.slice(0, batch.num_rows - 1))
                 # null-safe: is_valid XOR handles null-vs-value; two nulls
@@ -248,18 +300,7 @@ def partitioned_write(
     # object store and spill under pressure.  Then coalesce: the sort's
     # cost scales with block COUNT, not bytes (observed 35s over 708
     # tiny union-produced blocks vs 2s over 160) — repartition first.
-    import sys
-
-    _prof = os.environ.get("JOERN_RAY_PROFILE")
-    _tm = time.perf_counter()
     tagged = ds.map_batches(add_part, batch_format="pyarrow").materialize()
-    if _prof:
-        print(
-            f"[partitioned_write:{stage}] materialize: {time.perf_counter() - _tm:.2f}s",
-            file=sys.stderr,
-            flush=True,
-        )
-        _tm = time.perf_counter()
     if tagged.num_blocks() > 2 * num_partitions:
         tagged = tagged.repartition(num_partitions)
     written = tagged.groupby("part").map_groups(write_group, batch_format="pyarrow")
@@ -267,22 +308,14 @@ def partitioned_write(
     for b in written.iter_batches(batch_format="pyarrow", batch_size=None):
         for p, r in zip(b.column("part").to_pylist(), b.column("rows").to_pylist()):
             parts_written[p] = r
-    if _prof:
-        print(
-            f"[partitioned_write:{stage}] shuffle+write: {time.perf_counter() - _tm:.2f}s",
-            file=sys.stderr,
-            flush=True,
-        )
     wall = time.perf_counter() - t0
     total = 0
     for p in sorted(parts_written):
         m = write_manifest(
-            os.path.join(path, f"part={p}"), f"{stage}[part={p}]", fingerprint, wall
+            os.path.join(path, f"part={p}"), f"{stage}[part={p}]", fingerprint, wall, extra=wx
         )
         total += m["rows"]
     for p in done:
-        mp = manifest_path(os.path.join(path, f"part={p}"))
-        with open(mp) as f:
-            total += json.load(f).get("rows", 0)
-    write_manifest(path, stage, fingerprint, wall, extra={"total_rows": total})
+        total += read_manifest(os.path.join(path, f"part={p}")).get("rows", 0)
+    write_manifest(path, stage, fingerprint, wall, extra={"total_rows": total, **wx})
     return path

@@ -4,9 +4,10 @@ Mirrors the reference's `joern-parse` lifecycle (SURVEY.md §3.1:
 frontend AST creation → default overlays → linking → persist) as a
 Ray-Data stage chain with Parquet checkpoints between the macro-stages:
 
-  stage "parse"   docs → detect_fragments → ParseFragments (actor pool,
-                  fused per-method CFG/DDG overlays + FILE nodes from
-                  doc passthrough rows) → tagged-union checkpoint.
+  stage "parse"   docs → detect_fragments → parse_fragments_batch (plain
+                  tasks over a per-process ParseFragments memo, fused
+                  per-method CFG/DDG overlays + FILE nodes from doc
+                  passthrough rows) → tagged-union checkpoint.
                   Pure map chain — streams, no shuffle.
   stage "survey"  ONE pass over the node stream emitting tagged partial
                   distincts/counts (dup FQNs, type fqns, namespace
@@ -23,9 +24,13 @@ Ray-Data stage chain with Parquet checkpoints between the macro-stages:
 Six core Dataset executions at steady state (parse, survey-agg,
 canonicalize, fused dims+spec write, linked-edge write, overlapped
 equivalence chain) — execution-launch overhead dominates small runs,
-so the count is a first-class design constraint.  Checkpoints make macro-stages resumable (reference overlay
-skip, `LayerCreator.scala:20-34`) and let downstream branches consume
-Parquet instead of re-executing Ray lineage.
+so the count is a first-class design constraint.  Checkpoints make
+macro-stages resumable (reference overlay skip, `LayerCreator.scala:
+20-34`) and let downstream branches consume Parquet instead of
+re-executing Ray lineage.  Every exchange downstream of parse is sized
+by ONE width (`io.checkpoint.exchange_width`) derived from the parse
+checkpoint's measured bytes, and every table written downstream of it
+is coalesced to `ROWS_PER_FILE` rows per file.
 """
 
 from __future__ import annotations
@@ -38,7 +43,13 @@ import pyarrow.compute as pc
 
 from ..functions.hashing import hash64
 from ..io.checkpoint import ENGINE_VERSION as _ENGINE_VERSION
-from ..io.checkpoint import checkpoint, manifest_matches, partitioned_write
+from ..io.checkpoint import (
+    ROWS_PER_FILE,
+    checkpoint,
+    exchange_width,
+    manifest_matches,
+    partitioned_write,
+)
 from ..schemas import EDGES_SCHEMA, NODES_SCHEMA, REJECTS_SCHEMA, rows_to_table
 from ..stages.extract import detect_fragments_batch
 from ..stages.link import (
@@ -50,7 +61,7 @@ from ..stages.link import (
     stub_id,
     type_id,
 )
-from ..stages.parse import ParseFragments
+from ..stages.parse import parse_fragments_batch
 
 _KEEP = {
     "node": list(NODES_SCHEMA.names),
@@ -189,12 +200,11 @@ def build_cpg(
     out_dir: str,
     fingerprint: str,
     *,
-    parse_concurrency: int | tuple | None = None,
     batch_size: int = 128,
     broadcast_limit: int = 2_000_000,
     hot_key_threshold: int = 5_000,
     n_salts: int = 16,
-    num_partitions: int = 32,
+    num_partitions: int | None = None,
     force_shuffle_link: bool = False,
     compdb_json: str | None = None,
 ) -> dict:
@@ -202,6 +212,10 @@ def build_cpg(
 
     `docs_factory(columns)` must return a fresh docs Dataset (optionally
     column-pruned); it is consumed exactly once (by the parse stage).
+
+    `num_partitions`: width of every exchange and of the partitioned
+    edge write.  None derives it from the parse checkpoint's measured
+    size (`exchange_width`); an int forces it.
 
     `compdb_json`: compile_commands.json content — when given, C-family
     fragments are restricted to the database's file set and parsed with
@@ -243,17 +257,9 @@ def build_cpg(
     edges_path = os.path.join(out_dir, "edges")
 
     # ---- stage: parse (pure map chain, streams) -----------------------
-    # FIXED-size actor pool sized to ~3/4 of the cluster: an autoscaling
-    # pool starting at 1 ramps too slowly for a minutes-long stage, and a
-    # pool of n_cpus-1 PINS those CPUs, leaving the concurrent Parquet
-    # write tasks a single slot — measured 23s -> 13s at 32 CPUs for the
-    # same input just by leaving 1/4 of the CPUs to the write stage.
-    if parse_concurrency is None:
-        n_cpus = int(ray.cluster_resources().get("CPU", 8))
-        eff_parse_concurrency: int | tuple = max(2, (n_cpus * 3) // 4)
-    else:
-        eff_parse_concurrency = parse_concurrency
-
+    # Plain TASKS over a per-process parser memo: no actor pins a CPU, so
+    # the read and write tasks always find a slot (a fixed actor pool of
+    # at least 2 starved the read task forever on a 2-CPU cluster).
     def parse_pipeline():
         ds = docs_factory(None)
         frags = ds.map_batches(detect_fragments_batch, batch_format="pyarrow")
@@ -267,15 +273,12 @@ def build_cpg(
                 batch_format="pyarrow",
             )
         return frags.map_batches(
-            ParseFragments,
-            batch_size=batch_size,
-            batch_format="pyarrow",
-            concurrency=eff_parse_concurrency,
+            parse_fragments_batch, batch_size=batch_size, batch_format="pyarrow"
         )
 
-    # partition the checkpoint by row_kind ONLY: adding `part` here would
-    # explode into blocks × kinds × parts tiny files; `part` stays a data
-    # column used by the final partitioned write
+    # partition the checkpoint by row_kind ONLY: an output-partition key
+    # here would explode into blocks × kinds × parts tiny files.  It is
+    # written as it streams: this checkpoint IS the width's measured input.
     checkpoint(
         parse_pipeline,
         parse_path,
@@ -288,7 +291,7 @@ def build_cpg(
     # Report table analog, `x2cpg/.../utils/Report.scala:27-60`)
     import json as _json
 
-    from ..io.checkpoint import _footer_row_count, manifest_path
+    from ..io.checkpoint import _footer_row_count, manifest_path, read_manifest
 
     reject_dir = os.path.join(parse_path, "row_kind=reject")
     n_rejects = _footer_row_count(reject_dir)[0] if os.path.isdir(reject_dir) else 0
@@ -302,12 +305,22 @@ def build_cpg(
             os.replace(mp + ".tmp", mp)
     except (OSError, _json.JSONDecodeError):
         pass
+    # exchange width from the parse checkpoint's measured bytes, so a
+    # resumed build derives the same one; the edges root records the
+    # width its `subj % P` layout was written at and is rebuilt, never
+    # mixed, when the width differs
+    if num_partitions is None:
+        width = exchange_width(read_manifest(parse_path)["bytes"])
+    else:
+        width = num_partitions
     _mark("parse")
     parse_fp = f"{fingerprint}/parse"
 
     # dims is the LAST artifact written, so (dims + edges) matching means
     # the whole chain (canonical included) completed for this fingerprint
-    if manifest_matches(dims_path, parse_fp) and manifest_matches(edges_path, parse_fp):
+    if manifest_matches(dims_path, parse_fp) and manifest_matches(
+        edges_path, parse_fp, width
+    ):
         # same contract as a fresh run: the fresh path persists its stats
         # to build_stats.json, so resumed callers see identical keys
         stats: dict = {}
@@ -388,7 +401,7 @@ def build_cpg(
         "skey", "m_c", "td_c", "mb_c", "ty_c", "ns_c", "ca_c", "th_c",
         "im_c", "sn", "sx",
     ]
-    n_sv_buckets = max(8, num_partitions)
+    n_sv_buckets = width
 
     def svagg_factory():
         import polars as pl
@@ -463,12 +476,10 @@ def build_cpg(
         # per-bucket combine.  Ray's built-in .aggregate() accumulates
         # per ROW in Python (measured 7.2s for 350k partial rows at
         # sf0.1); this shape is 2.7s and all the per-key work stays in
-        # Arrow kernels.  Buckets scale with num_partitions, so per-group
-        # size is distinct_keys/buckets regardless of corpus size.
+        # Arrow kernels.  Buckets scale with the measured width, so
+        # per-group size is distinct_keys/buckets regardless of corpus size.
         survey_src = ray.data.read_parquet(
-            os.path.join(parse_path, "row_kind=survey"),
-            columns=_KEEP["survey"],
-            override_num_blocks=16,
+            os.path.join(parse_path, "row_kind=survey"), columns=_KEEP["survey"]
         )
         return (
             survey_src.map_batches(_pivot, batch_format="pyarrow")
@@ -477,7 +488,9 @@ def build_cpg(
             .map_batches(_rn, batch_format="pyarrow")
         )
 
-    checkpoint(svagg_factory, svagg_path, "survey_agg", parse_fp)
+    checkpoint(
+        svagg_factory, svagg_path, "survey_agg", parse_fp, min_rows_per_file=ROWS_PER_FILE
+    )
     _svds = pads.dataset(svagg_path, format="parquet")
 
     def _sv_keys(flt) -> list[str]:
@@ -530,7 +543,13 @@ def build_cpg(
             )
             return mt_unique.union(mt_dups)
 
-        checkpoint(canonical_factory, canon_path, "canonical_mt", parse_fp)
+        checkpoint(
+            canonical_factory,
+            canon_path,
+            "canonical_mt",
+            parse_fp,
+            min_rows_per_file=ROWS_PER_FILE,
+        )
         canonical_mt_for_write = ray.data.read_parquet(canon_path, columns=_LINK_COLS)
     else:
         canonical_mt_for_write = None
@@ -584,7 +603,8 @@ def build_cpg(
                 ),
                 td_dup_fqns,
                 canon_td_ids,
-            ).write_parquet(astlink_path)
+                num_buckets=width,
+            ).write_parquet(astlink_path, min_rows_per_file=ROWS_PER_FILE)
             _wm(astlink_path, "edges_astlink", parse_fp, 0.0)
         _mark("astlink")
 
@@ -1140,6 +1160,7 @@ def build_cpg(
                 td_ds,
                 sv_cols.map_batches(_skey_pick("ca_c"), batch_format="pyarrow"),
                 sv_cols.map_batches(_skey_pick("m_c"), batch_format="pyarrow"),
+                num_partitions=width,
             )
         )
         # Import-resolver + <ret:f> iteration-2 in the DISTRIBUTED
@@ -1658,7 +1679,9 @@ def build_cpg(
 
         if os.path.isdir(dims_path):
             _shutil.rmtree(dims_path)
-        dims_ds.write_parquet(dims_path, partition_cols=["rk"])
+        dims_ds.write_parquet(
+            dims_path, partition_cols=["rk"], min_rows_per_file=ROWS_PER_FILE
+        )
     # dims manifest written AFTER the writes below complete (it is the
     # completion marker for the whole chain)
 
@@ -1785,7 +1808,7 @@ def build_cpg(
             # small file per block beats the coalescing shuffle only
             # when CPUs are scarce); the partitioned layout also keeps
             # partition-level resume, so it stays the default.
-            partitioned_write(ds_, path_, name_, parse_fp, num_partitions)
+            partitioned_write(ds_, path_, name_, parse_fp, width)
             if _prof:
                 print(
                     f"[build_cpg] thread:{name_}: {time.perf_counter() - _tw:.2f}s",
@@ -1843,6 +1866,7 @@ def build_cpg(
                 id_col="method_id",
                 num_perm=64,
                 bands=16,
+                num_partitions=width,
             )
 
             # keep only actually-collapsed members (canonical != self);
@@ -1867,7 +1891,7 @@ def build_cpg(
                 out.map_batches(collapsed_only, batch_format="pyarrow")
                 .materialize()
                 .sort("method_id")
-                .write_parquet(equiv_path)
+                .write_parquet(equiv_path, min_rows_per_file=ROWS_PER_FILE)
             )
             os.makedirs(equiv_path, exist_ok=True)  # empty result edge case
             m = write_manifest(equiv_path, "equivalences", parse_fp, 0.0)

@@ -196,8 +196,20 @@ def mapside_link_edges(batch: pa.Table) -> pa.Table:
         pred_parts.append(("ALIAS_OF", len(a_ids)))
     # TYPE -> TYPE_DECL REF (reference `base/TypeRefPass.scala:9-30`):
     # the TYPE dimension id is a pure content hash of the fqn, so the
-    # edge is computable map-side from the TYPE_DECL row alone
-    td_all = batch.filter(pc.equal(labels, "TYPE_DECL"))
+    # edge is computable map-side from the TYPE_DECL row alone.  The
+    # pass starts from TYPE nodes, and the survey creates one per
+    # declared (pre-canonicalization) full name — a renamed
+    # `C<duplicate>k` declaration has no TYPE node, hence no REF.
+    td_fn = pc.coalesce(batch.column("full_name"), pa.scalar(""))
+    td_all = batch.filter(
+        pc.and_(
+            pc.equal(labels, "TYPE_DECL"),
+            pc.and_(
+                pc.not_equal(td_fn, ""),
+                pc.invert(pc.match_substring_regex(td_fn, r"<duplicate>\d+$")),
+            ),
+        )
+    )
     if td_all.num_rows:
         subj_parts.append(
             pa.array(

@@ -12,13 +12,15 @@ Arrow table carrying node rows, edge rows and reject rows discriminated by
 `row_kind`; cheap downstream filters split the streams (same pattern as
 `detect_fragments_batch`).
 
-Stateful-actor design: `ParseFragments` is a callable CLASS for
-`map_batches(ParseFragments, concurrency=N)` — parser construction and the
-parse-tree cache live in `__init__` (once per actor), per-batch work in
-`__call__`.  The cache keys on `(content_hash, dialect)`: web corpora are
-full of byte-identical boilerplate snippets (FIXTURES.md: 5 % shared
-blocks), and re-flattening a cached tree under a new (url, fragment_idx)
-is ~10x cheaper than re-parsing.
+Plain-task design: `parse_fragments_batch` is the `map_batches` UDF; it
+calls a per-process `ParseFragments` memo, so parser construction and the
+parse-tree cache live once per worker process (reused by every task that
+process runs) without an actor pool pinning CPUs.  The cache keys on
+`(content_hash, dialect)`: web corpora are full of byte-identical
+boilerplate snippets (FIXTURES.md: 5 % shared blocks), and re-flattening a
+cached tree under a new (url, fragment_idx) is ~10x cheaper than
+re-parsing.  Outputs do not depend on the cache: a template is the
+content's parse, instanced under each (url, fragment_idx).
 """
 
 from __future__ import annotations
@@ -33,13 +35,8 @@ from ..parsing.astmodel import flatten
 from ..parsing.parser import FragmentParser, ParseError
 from ..schemas import EDGES_SCHEMA, NODES_SCHEMA, REJECTS_SCHEMA, rows_to_table
 
-# Union layout: nodes cols ∪ edges cols ∪ reject cols + row_kind + part.
-# `part` is the output-partition key assigned AT PARSE TIME (id %% P for
-# nodes, subj %% P for edges) so the checkpoint is hive-partitioned by
-# (row_kind, part) and the final edge layout can reuse the files with no
-# re-shuffle.
-NUM_PARTS_DEFAULT = 32
-
+# Union layout: nodes cols ∪ edges cols ∪ reject cols ∪ survey cols +
+# row_kind (the checkpoint's hive partition key).
 UNION_SCHEMA = pa.schema(
     [
         *NODES_SCHEMA,
@@ -55,7 +52,6 @@ UNION_SCHEMA = pa.schema(
         pa.field("sn", pa.int64()),
         pa.field("sx", pa.int64()),
         pa.field("row_kind", pa.string()),
-        pa.field("part", pa.int32()),
     ]
 )
 
@@ -79,7 +75,6 @@ def make_union_table(
 def make_union_from_tables(
     nt: pa.Table, et: pa.Table, rt: pa.Table, svt: "pa.Table | None" = None
 ) -> pa.Table:
-    import numpy as np
     import pyarrow.compute as pc
 
     if svt is None:
@@ -140,21 +135,6 @@ def make_union_from_tables(
         ["node"] * n_p + ["mtnode"] * n_m + ["edge"] * n_e + ["reject"] * n_r + ["survey"] * n_s,
         pa.string(),
     )
-
-    def _part_of(t: pa.Table, col: str) -> np.ndarray:
-        return (
-            t.column(col).combine_chunks().to_numpy(zero_copy_only=False).astype(np.uint64)
-            % np.uint64(NUM_PARTS_DEFAULT)
-        ).astype(np.int32)
-
-    cols["part"] = pa.concat_arrays(
-        [
-            pa.array(_part_of(plain, "id"), pa.int32()),
-            pa.array(_part_of(mt, "id"), pa.int32()),
-            pa.array(_part_of(et, "subj"), pa.int32()),
-            pa.array([0] * (n_r + n_s), pa.int32()),
-        ]
-    )
     return pa.table(cols, schema=UNION_SCHEMA)
 
 
@@ -176,7 +156,8 @@ def split_union(ds, kind: str):
 
 
 class ParseFragments:
-    """Actor-pool stage: FRAGMENTS_SCHEMA batches -> UNION_SCHEMA batches."""
+    """Stateful parse stage: FRAGMENTS_SCHEMA batches -> UNION_SCHEMA
+    batches.  One instance per process (`parse_fragments_batch`)."""
 
     _SENT_URL = "\x00SENTINEL"
     _SENT_KEY = "\x00SENTINEL#0"
@@ -435,3 +416,17 @@ class ParseFragments:
             else EDGES_SCHEMA.empty_table()
         )
         return make_union_from_tables(nt, et, rows_to_table(reject_rows, REJECTS_SCHEMA))
+
+
+# Per-process ParseFragments memo (same pattern as the pipeline's
+# `_KEYSET_CACHE`): built by the first task a worker process runs, reused
+# by every later one.
+_PARSE_MEMO: dict = {}
+
+
+def parse_fragments_batch(batch: pa.Table) -> pa.Table:
+    """Task UDF for `map_batches`: parse through the process's memo."""
+    stage = _PARSE_MEMO.get("stage")
+    if stage is None:
+        stage = _PARSE_MEMO["stage"] = ParseFragments()
+    return stage(batch)

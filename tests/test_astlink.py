@@ -26,7 +26,7 @@ def _build(tmp_path, docs):
         )
         return ray.data.from_arrow(t)
 
-    res = build_cpg(docs_factory, out, "astlink-1", num_partitions=2, parse_concurrency=1)
+    res = build_cpg(docs_factory, out, "astlink-1", num_partitions=2)
     nodes = pa.concat_tables(
         list(
             ray.data.read_parquet(
@@ -73,6 +73,37 @@ def test_reopened_class_one_ast_tree(ray_session, tmp_path):
     # both methods hang off the canonical TYPE_DECL -> one tree
     assert (canon, m_by["Widget.alpha"]) in pairs
     assert (canon, m_by["Widget.beta"]) in pairs
+
+
+def test_reopened_class_no_dangling_endpoints(ray_session, tmp_path):
+    """A class defined on two pages: every edge endpoint is a node.  The
+    TYPE node `Widget` REFs the canonical declaration only; the renamed
+    `Widget<duplicate>0` has no TYPE node, so no REF edge either."""
+    from joern_ray.stages.link import type_id
+
+    docs = [
+        ("https://al3/a.rb", _rb("class Widget\n  def alpha\n    return 1\n  end\nend\n")),
+        ("https://al3/b.rb", _rb("class Widget\n  def beta\n    return 2\n  end\nend\n")),
+    ]
+    _res, nodes, edges = _build(tmp_path, docs)
+    ids = set(nodes.column("id").to_pylist())
+    dangling = [
+        (s, p, o)
+        for s, p, o in zip(
+            edges.column("subj").to_pylist(),
+            edges.column("pred").to_pylist(),
+            edges.column("obj").to_pylist(),
+        )
+        if s not in ids or o not in ids
+    ]
+    assert dangling == []
+    tds = nodes.filter(pc.equal(nodes.column("label"), "TYPE_DECL"))
+    by_fqn = dict(zip(tds.column("full_name").to_pylist(), tds.column("id").to_pylist()))
+    ref = edges.filter(pc.equal(edges.column("pred"), "REF"))
+    refs = set(zip(ref.column("subj").to_pylist(), ref.column("obj").to_pylist()))
+    assert (type_id("Widget"), by_fqn["Widget"]) in refs
+    dups = [by_fqn[f] for f in by_fqn if f.startswith("Widget<duplicate>")]
+    assert dups and not [o for _s, o in refs if o in dups]
 
 
 def test_astlink_colliding_member_and_method(ray_session, tmp_path):

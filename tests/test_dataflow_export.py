@@ -48,7 +48,7 @@ def uaf_cpg(ray_session):
             ds = ds.map_batches(lambda b: b.select(columns), batch_format="pyarrow")
         return ds
 
-    return build_cpg(docs_factory, OUT, "uaf-1", num_partitions=2, parse_concurrency=1)
+    return build_cpg(docs_factory, OUT, "uaf-1", num_partitions=2)
 
 
 def test_taint_flow_malloc_to_free(ray_session, uaf_cpg):
@@ -208,7 +208,7 @@ def test_inherits_from_edges(ray_session):
             ds = ds.map_batches(lambda b: b.select(columns), batch_format="pyarrow")
         return ds
 
-    res = build_cpg(docs_factory, out, "j-1", num_partitions=2, parse_concurrency=1)
+    res = build_cpg(docs_factory, out, "j-1", num_partitions=2)
     edges = pa.concat_tables(
         list(
             ray.data.read_parquet(
@@ -268,7 +268,7 @@ def test_interprocedural_taint_across_documents(ray_session):
         )
         return ray.data.from_arrow(t)
 
-    res = build_cpg(docs_factory, out, "ip-1", num_partitions=2, parse_concurrency=1)
+    res = build_cpg(docs_factory, out, "ip-1", num_partitions=2)
     import ray.data
 
     nodes_f = lambda: ray.data.read_parquet(  # noqa: E731
@@ -429,6 +429,53 @@ def test_frontier_join_regime_parity(ray_session, monkeypatch):
     sj = dfl.reachable_by(ef, sink_ids, max_depth=6)
     assert set(bc.column("node").to_pylist()) == set(sj.column("node").to_pylist())
     assert bc.num_rows > 0
+
+
+def _map_worker_procs() -> list[str]:
+    """Command lines of the live Ray Data actor-pool workers."""
+    out = []
+    for pid in os.listdir("/proc"):
+        if not pid.isdigit():
+            continue
+        try:
+            with open(f"/proc/{pid}/cmdline", "rb") as f:
+                cmd = f.read().replace(b"\0", b" ").decode(errors="replace")
+        except OSError:
+            continue
+        if "MapWorker" in cmd:
+            out.append(cmd)
+    return out
+
+
+def test_reachable_by_leaves_no_actor_workers(ray_session, uaf_cpg):
+    """Each hop filters the frontier in plain tasks: no actor pool (the
+    former `_FrontierFilter` workers) outlives the call."""
+    import ray.data
+
+    from joern_ray.graph.dataflow import reachable_by
+
+    edges_f = lambda: ray.data.read_parquet(  # noqa: E731
+        uaf_cpg["edges_path"], columns=["subj", "pred", "obj"]
+    )
+    nodes = pa.concat_tables(
+        list(
+            ray.data.read_parquet(uaf_cpg["nodes_path"], columns=["id", "name"]).iter_batches(
+                batch_format="pyarrow"
+            )
+        )
+    )
+    edges = pa.concat_tables(list(edges_f().iter_batches(batch_format="pyarrow")))
+    free_ids = set(nodes.filter(pc.equal(nodes.column("name"), "free")).column("id").to_pylist())
+    args = edges.filter(pc.equal(edges.column("pred"), "ARGUMENT"))
+    sinks = [
+        o for s, o in zip(args.column("subj").to_pylist(), args.column("obj").to_pylist()) if s in free_ids
+    ]
+    before = len(_map_worker_procs())
+    got = reachable_by(edges_f, sinks, max_depth=4)
+    assert got.num_rows > 0
+    after = _map_worker_procs()
+    assert not [c for c in after if "_FrontierFilter" in c], after
+    assert len(after) <= before, after
 
 
 def test_semantics_loader_parses_reference_format(tmp_path, monkeypatch):

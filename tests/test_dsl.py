@@ -43,7 +43,7 @@ def cpg(ray_session):
         )
         return ray.data.from_arrow(t)
 
-    res = build_cpg(docs_factory, OUT, "dsl-1", num_partitions=2, parse_concurrency=1)
+    res = build_cpg(docs_factory, OUT, "dsl-1", num_partitions=2)
     return Cpg(res["nodes_path"], res["edges_path"])
 
 

@@ -105,7 +105,7 @@ def _build(ray_session, out, gate):
     os.environ["JOERN_RAY_DYN_GATE"] = str(gate)
     try:
         return build_cpg(
-            docs_factory, out, "dynpar-1", num_partitions=2, parse_concurrency=1
+            docs_factory, out, "dynpar-1", num_partitions=2
         )
     finally:
         if old is None:

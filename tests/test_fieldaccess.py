@@ -54,7 +54,6 @@ def test_cross_fragment_field_access(ray_session, force_shuffle, tmp_path):
         out,
         f"fieldaccess-{int(force_shuffle)}",
         num_partitions=2,
-        parse_concurrency=1,
         force_shuffle_link=force_shuffle,
     )
     nodes = pa.concat_tables(

@@ -55,7 +55,7 @@ def test_import_module_path_join(ray_session, tmp_path_factory):
         )
         return ray.data.from_arrow(t)
 
-    res = build_cpg(docs_factory, out, "imp-1", num_partitions=2, parse_concurrency=1)
+    res = build_cpg(docs_factory, out, "imp-1", num_partitions=2)
     nodes = pa.concat_tables(
         list(
             ray.data.read_parquet(
@@ -139,7 +139,7 @@ def test_import_module_path_join_distributed_regime(ray_session, tmp_path_factor
         )
         return ray.data.from_arrow(t)
 
-    res = build_cpg(docs_factory, out, "impd-1", num_partitions=2, parse_concurrency=1)
+    res = build_cpg(docs_factory, out, "impd-1", num_partitions=2)
     assert res["dyn_regime"] == "distributed"
     nodes = pa.concat_tables(
         list(

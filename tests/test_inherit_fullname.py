@@ -37,7 +37,7 @@ def _build(tmp_path, docs, fp="inh-1", env=None, monkeypatch=None):
         )
         return ray.data.from_arrow(t)
 
-    res = build_cpg(docs_factory, out, fp, num_partitions=2, parse_concurrency=1)
+    res = build_cpg(docs_factory, out, fp, num_partitions=2)
     nodes = pa.concat_tables(
         list(
             ray.data.read_parquet(

@@ -28,9 +28,7 @@ def cpg(ray_session):
     from joern_ray.pipelines.cpg import build_cpg
 
     shutil.rmtree(OUT, ignore_errors=True)
-    res = build_cpg(
-        _docs_factory, OUT, "test-120", num_partitions=4, parse_concurrency=(1, 2)
-    )
+    res = build_cpg(_docs_factory, OUT, "test-120", num_partitions=4)
     yield res
 
 
@@ -101,9 +99,7 @@ def test_resume_skips_and_is_identical(ray_session, cpg):
     from joern_ray.pipelines.cpg import build_cpg
 
     before = _read_all(ray_session, cpg["nodes_path"])
-    res2 = build_cpg(
-        _docs_factory, OUT, "test-120", num_partitions=4, parse_concurrency=(1, 2)
-    )
+    res2 = build_cpg(_docs_factory, OUT, "test-120", num_partitions=4)
     assert res2["resumed"] is True
     after = _read_all(ray_session, cpg["nodes_path"])
     assert before.equals(after)
@@ -212,7 +208,6 @@ def test_shuffle_link_regime_matches_broadcast(ray_session, cpg):
         out,
         "test-120",
         num_partitions=4,
-        parse_concurrency=(1, 2),
         force_shuffle_link=True,
     )
     assert res["link_regime"] == "salted_shuffle"
@@ -280,7 +275,6 @@ def test_hot_key_salting_activates_and_stays_correct(ray_session):
         out,
         "hotkey-30",
         num_partitions=2,
-        parse_concurrency=2,
         force_shuffle_link=True,
         hot_key_threshold=100,
         n_salts=4,
@@ -338,7 +332,7 @@ def test_cross_document_call_link(ray_session):
         )
         return ray.data.from_arrow(t)
 
-    res = build_cpg(docs_factory, out, "crossdoc", num_partitions=2, parse_concurrency=1)
+    res = build_cpg(docs_factory, out, "crossdoc", num_partitions=2)
     nodes = _read_all(ray_session, res["nodes_path"])
     edges = _read_all(
         ray_session, res["edges_path"], columns=["subj", "pred", "obj", "variable"]
@@ -393,7 +387,7 @@ def test_dynamic_dispatch_candidates(ray_session):
         )
         return ray.data.from_arrow(t)
 
-    res = build_cpg(docs_factory, out, "dyn-1", num_partitions=2, parse_concurrency=1)
+    res = build_cpg(docs_factory, out, "dyn-1", num_partitions=2)
     nodes = _read_all(ray_session, res["nodes_path"])
     edges = _read_all(
         ray_session, res["edges_path"], columns=["subj", "pred", "obj", "variable"]

@@ -48,7 +48,6 @@ def example_cpg(ray_session):
         out,
         "scanconf-1",
         num_partitions=2,
-        parse_concurrency=2,
     )
     from joern_ray.query.dsl import Cpg
 

@@ -116,7 +116,6 @@ def test_hint_linking_pipeline(ray_session, force_shuffle, tmp_path):
         out,
         f"hint-{int(force_shuffle)}",
         num_partitions=2,
-        parse_concurrency=1,
         force_shuffle_link=force_shuffle,
     )
     nodes = pa.concat_tables(
@@ -218,7 +217,7 @@ def test_rettype_iteration2_cross_document(ray_session, tmp_path):
         )
         return ray.data.from_arrow(t)
 
-    res = build_cpg(docs_factory, out, "ret2-1", num_partitions=2, parse_concurrency=1)
+    res = build_cpg(docs_factory, out, "ret2-1", num_partitions=2)
     nodes = pa.concat_tables(
         list(
             ray.data.read_parquet(
@@ -307,7 +306,7 @@ def test_rettype_iteration2_distributed_regime(ray_session, tmp_path, monkeypatc
         )
         return ray.data.from_arrow(t)
 
-    res = build_cpg(docs_factory, out, "ret2d-1", num_partitions=2, parse_concurrency=1)
+    res = build_cpg(docs_factory, out, "ret2d-1", num_partitions=2)
     assert res["dyn_regime"] == "distributed"
     nodes = pa.concat_tables(
         list(
@@ -385,7 +384,7 @@ def test_unresolved_ret_sentinel_never_materializes(ray_session, tmp_path):
         )
         return ray.data.from_arrow(t)
 
-    res = build_cpg(docs_factory, out, "retx-1", num_partitions=2, parse_concurrency=1)
+    res = build_cpg(docs_factory, out, "retx-1", num_partitions=2)
     nodes = pa.concat_tables(
         list(
             ray.data.read_parquet(
