@@ -41,17 +41,3 @@ def node_ids(url: str, fragment_idx: int, n: int) -> "np.ndarray":
 def hash64_bytes(data: bytes) -> int:
     h = hashlib.blake2b(data, digest_size=8)
     return int.from_bytes(h.digest(), "little") & _MASK63
-
-
-def hash64_np_str(values: "np.ndarray") -> np.ndarray:
-    """Vectorized-ish 64-bit hash of a numpy object array of strings.
-
-    hashlib per element; for bulk columnar hashing prefer
-    `polars.Series.hash` (used in the dedup stages) — this helper is for
-    small/medium columns where a polars round-trip isn't worth it.
-    """
-    out = np.empty(len(values), dtype=np.uint64)
-    for i, v in enumerate(values):
-        b = v if isinstance(v, bytes) else str(v).encode()
-        out[i] = hash64_bytes(b)
-    return out

@@ -122,16 +122,6 @@ class MethodVectorizer:
         )
 
 
-def method_vectors(docs_ds, dim: int = VECTOR_DIM, concurrency=None):
-    from ..stages.extract import detect_fragments_batch
-
-    return method_vectors_from_fragments(
-        docs_ds.map_batches(detect_fragments_batch, batch_format="pyarrow"),
-        dim=dim,
-        concurrency=resolve_pool(concurrency),
-    )
-
-
 def method_vectors_from_fragments(frags_ds, dim: int = VECTOR_DIM, concurrency=4):
     """Vectors straight off a fragments Dataset (e.g. the cached fragment
     checkpoint) — skips corpus re-generation and re-detection."""

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import re
 
-from .astmodel import FRAG_PLACEHOLDER, OPERATORS, PNode, STATIC_DISPATCH
+from .astmodel import FRAG_PLACEHOLDER, PNode, STATIC_DISPATCH
 from .parser import FragmentParser, ParseError
 from .tokenizer import tokenize
 

@@ -195,16 +195,22 @@ def keyset_split_fn(keys_ref, column: str, invert: bool = False):
     return _fn
 
 
+# fragments per parse task batch
+PARSE_BATCH_SIZE = 128
+# canonical METHOD count up to which calls link against a broadcast
+# fqn->id index; past it the salted shuffle join takes over
+BROADCAST_LIMIT = 2_000_000
+# call fqns at least this frequent are salted N_SALTS ways in the
+# shuffle join (the skewed malloc/printf/<operator> keys)
+HOT_KEY_THRESHOLD = 5_000
+N_SALTS = 16
+
+
 def build_cpg(
     docs_factory,
     out_dir: str,
     fingerprint: str,
     *,
-    batch_size: int = 128,
-    broadcast_limit: int = 2_000_000,
-    hot_key_threshold: int = 5_000,
-    n_salts: int = 16,
-    num_partitions: int | None = None,
     force_shuffle_link: bool = False,
     compdb_json: str | None = None,
 ) -> dict:
@@ -213,28 +219,17 @@ def build_cpg(
     `docs_factory(columns)` must return a fresh docs Dataset (optionally
     column-pruned); it is consumed exactly once (by the parse stage).
 
-    `num_partitions`: width of every exchange and of the partitioned
-    edge write.  None derives it from the parse checkpoint's measured
-    size (`exchange_width`); an int forces it.
+    `force_shuffle_link`: link calls with the salted shuffle join even
+    when the method index is small enough to broadcast.
 
     `compdb_json`: compile_commands.json content — when given, C-family
     fragments are restricted to the database's file set and parsed with
     its per-file `-D` defines (reference JSONCompilationDatabaseParser,
     `c2cpg/.../parser/JSONCompilationDatabaseParser.scala:34-111`)."""
     import sys
-    import time
 
     import ray
     import ray.data
-
-    _prof = os.environ.get("JOERN_RAY_PROFILE")
-    _t = [time.perf_counter()]
-
-    def _mark(label: str) -> None:
-        if _prof:
-            _t.append(time.perf_counter())
-            print(f"[build_cpg] {label}: {_t[-1] - _t[-2]:.2f}s", file=sys.stderr, flush=True)
-            _t[-1] = time.perf_counter()
 
     os.makedirs(out_dir, exist_ok=True)
     # fold the parser-code fingerprint into the lineage fingerprint: any
@@ -273,7 +268,7 @@ def build_cpg(
                 batch_format="pyarrow",
             )
         return frags.map_batches(
-            parse_fragments_batch, batch_size=batch_size, batch_format="pyarrow"
+            parse_fragments_batch, batch_size=PARSE_BATCH_SIZE, batch_format="pyarrow"
         )
 
     # partition the checkpoint by row_kind ONLY: an output-partition key
@@ -309,33 +304,15 @@ def build_cpg(
     # resumed build derives the same one; the edges root records the
     # width its `subj % P` layout was written at and is rebuilt, never
     # mixed, when the width differs
-    if num_partitions is None:
-        width = exchange_width(read_manifest(parse_path)["bytes"])
-    else:
-        width = num_partitions
-    _mark("parse")
+    width = exchange_width(read_manifest(parse_path)["bytes"])
     parse_fp = f"{fingerprint}/parse"
+    stats_path = os.path.join(out_dir, "build_stats.json")
 
-    # dims is the LAST artifact written, so (dims + edges) matching means
-    # the whole chain (canonical included) completed for this fingerprint
-    if manifest_matches(dims_path, parse_fp) and manifest_matches(
-        edges_path, parse_fp, width
-    ):
-        # same contract as a fresh run: the fresh path persists its stats
-        # to build_stats.json, so resumed callers see identical keys
-        stats: dict = {}
-        try:
-            stats = _json.load(open(os.path.join(out_dir, "build_stats.json")))
-        except (OSError, _json.JSONDecodeError):
-            pass
+    def _result(stats: dict, resumed: bool) -> dict:
+        """One return contract for fresh and resumed builds: the stats
+        persisted to build_stats.json plus the output paths."""
         return {
-            "equivalences_path": stats.get("equivalences_path"),
-            "n_collapsed_methods": stats.get("n_collapsed_methods", 0),
-            "link_regime": stats.get("link_regime"),
-            "n_methods": stats.get("n_methods", 0),
-            "n_stubs": stats.get("n_stubs", 0),
-            "n_hot_keys": stats.get("n_hot_keys", 0),
-            "n_dyn_fqns": stats.get("n_dyn_fqns", 0),
+            **stats,
             "out_dir": out_dir,
             "nodes_path": nodes_paths(out_dir),
             "edges_path": edges_paths(out_dir),
@@ -346,8 +323,20 @@ def build_cpg(
                 else dims_path
             ),
             "parse_path": parse_path,
-            "resumed": True,
+            "resumed": resumed,
         }
+
+    # dims is the LAST artifact written, so (dims + edges) matching means
+    # the whole chain (canonical included) completed for this fingerprint;
+    # without readable stats the build runs again over the finished roots
+    if manifest_matches(dims_path, parse_fp) and manifest_matches(
+        edges_path, parse_fp, width
+    ):
+        try:
+            with open(stats_path) as f:
+                return _result(_json.load(f), True)
+        except (OSError, _json.JSONDecodeError):
+            pass
 
     # "node" kind now excludes METHOD/TYPE_DECL rows — they live in their
     # own mtnode partition (written by the parse stage)
@@ -378,9 +367,6 @@ def build_cpg(
     # groupby.  The full key sets never touch the driver except in the
     # gated broadcast control plane below.
     import pyarrow.dataset as pads
-    from ray.data.aggregate import Max as _AMax
-    from ray.data.aggregate import Min as _AMin
-    from ray.data.aggregate import Sum as _ASum
 
     svagg_path = os.path.join(out_dir, "survey_agg")
     _SN_SENTINEL = 1 << 31  # non-'ca' rows must not win the Min(sn)
@@ -512,9 +498,8 @@ def build_cpg(
         + _svds.count_rows(filter=_f("mb_c") > 0)
     )
     n_calls = _svds.count_rows(filter=_f("ca_c") > 0)
-    use_broadcast = (not force_shuffle_link) and n_methods <= broadcast_limit
-    hot_keys = set(_sv_keys(_f("ca_c") >= hot_key_threshold))
-    _mark("survey")
+    use_broadcast = (not force_shuffle_link) and n_methods <= BROADCAST_LIMIT
+    hot_keys = set(_sv_keys(_f("ca_c") >= HOT_KEY_THRESHOLD))
 
     # ---- stage: canonicalize (both regimes, fully distributed) --------
     # FullNameUniquenessPass analog: shuffle ONLY rows whose full_name
@@ -553,7 +538,6 @@ def build_cpg(
         canonical_mt_for_write = ray.data.read_parquet(canon_path, columns=_LINK_COLS)
     else:
         canonical_mt_for_write = None
-    _mark("canonicalize")
 
     # ---- stage: cross-fragment AstLinkerPass --------------------------
     # (reference `x2cpg/.../base/AstLinkerPass.scala:10-62`) children of
@@ -606,7 +590,6 @@ def build_cpg(
                 num_buckets=width,
             ).write_parquet(astlink_path, min_rows_per_file=ROWS_PER_FILE)
             _wm(astlink_path, "edges_astlink", parse_fp, 0.0)
-        _mark("astlink")
 
     # ---- stage: XInheritanceFullNamePass (cross-document) -------------
     # (reference `x2cpg/.../frontend/XInheritanceFullNamePass.scala:
@@ -857,7 +840,6 @@ def build_cpg(
         os.makedirs(inherit_path, exist_ok=True)
         _pq.write_table(_iet, os.path.join(inherit_path, "data.parquet"))
         _wm2(inherit_path, "edges_inherit", parse_fp, 0.0)
-    _mark("inherit_fullname")
 
     # ---- stage: link --------------------------------------------------
     # The TYPE_DECL inheritance projection (hierarchy for SAFEDISPATCH
@@ -1409,7 +1391,6 @@ def build_cpg(
                         dyn_fqn[fqn] = [cand]
         unres_ret = any(f not in dyn_fqn for f in _ret_fqns)
     dyn_ref = ray.put(dyn_fqn)
-    _mark("control_plane")
     if use_broadcast:
         # broadcast regime: collect ONLY the 3-column method index
         # projection (not full rows), ship it ONCE via ray.put — workers
@@ -1476,7 +1457,6 @@ def build_cpg(
             )
         index_ref = ray.put(index_table)
         member_ref = ray.put(mem_t)
-        _mark("index_projection")
     else:
 
         def calls_proj():
@@ -1511,7 +1491,7 @@ def build_cpg(
             if n_mt
             else ray.data.from_arrow(NODES_SCHEMA.empty_table()),
             hot_keys=hot_keys,
-            n_salts=n_salts,
+            n_salts=N_SALTS,
             dyn_fqn_ref=dyn_ref,
         )
 
@@ -1523,8 +1503,6 @@ def build_cpg(
     # ty_c>0, NAMESPACE from ns_c>0, stubs from the anti-join filter
     # ca_c>0 & m_c=0 minus dyn-resolved keys.  No groupby, no key set
     # collected, no extra shuffle.
-    import pyarrow.parquet as pq
-
     from ..io.checkpoint import write_manifest
     from ..stages.link import (
         dim_nodes_batch,
@@ -1800,7 +1778,6 @@ def build_cpg(
 
     def _w(ds_, path_, name_):
         try:
-            _tw = time.perf_counter()
             # partitioned write (hash by subj, per-partition manifests).
             # A streaming write_parquet (no materialize/shuffle) was
             # measured as the alternative at 600k docs: faster at 8 CPUs
@@ -1809,12 +1786,6 @@ def build_cpg(
             # when CPUs are scarce); the partitioned layout also keeps
             # partition-level resume, so it stays the default.
             partitioned_write(ds_, path_, name_, parse_fp, width)
-            if _prof:
-                print(
-                    f"[build_cpg] thread:{name_}: {time.perf_counter() - _tw:.2f}s",
-                    file=sys.stderr,
-                    flush=True,
-                )
         except BaseException as e:  # noqa: BLE001
             errs.append(e)
 
@@ -1824,7 +1795,6 @@ def build_cpg(
     # workers — observed at 4 CPUs); the dims execution is small (one
     # groupby over distinct FQNs), so serializing costs little.
     _build_dims()
-    _mark("dims")
     t2 = threading.Thread(target=_w, args=(final_edges, edges_path, "edges"))
     t2.start()
 
@@ -1840,7 +1810,6 @@ def build_cpg(
 
     def _equiv():
         try:
-            _te = time.perf_counter()
             from ..stages.dedup import minhash_dedup
 
             def methods_code(batch: pa.Table) -> pa.Table:
@@ -1896,12 +1865,6 @@ def build_cpg(
             os.makedirs(equiv_path, exist_ok=True)  # empty result edge case
             m = write_manifest(equiv_path, "equivalences", parse_fp, 0.0)
             eq_box[0] = m["rows"]
-            if _prof:
-                print(
-                    f"[build_cpg] thread:equiv: {time.perf_counter() - _te:.2f}s",
-                    file=sys.stderr,
-                    flush=True,
-                )
         except BaseException as e:  # noqa: BLE001
             errs.append(e)
 
@@ -1909,7 +1872,6 @@ def build_cpg(
     t3.start()
     t2.join()
     t3.join()
-    _mark("writes")
     if errs:
         raise errs[0]
     # stub count for stats/metrics: footer-filtered count off the dims
@@ -1922,7 +1884,7 @@ def build_cpg(
     except Exception:  # noqa: BLE001
         n_stubs = 0
     # persist the stats a resumed run must reproduce (same return contract)
-    _stats = {
+    stats = {
         "equivalences_path": equiv_path if eq_box[0] is not None else None,
         "n_collapsed_methods": eq_box[0] or 0,
         "link_regime": link_regime,
@@ -1932,24 +1894,8 @@ def build_cpg(
         "n_dyn_fqns": len(dyn_fqn),
         "dyn_regime": dyn_regime,
     }
-    with open(os.path.join(out_dir, "build_stats.json"), "w") as f:
-        _json.dump(_stats, f, indent=1)
+    with open(stats_path, "w") as f:
+        _json.dump(stats, f, indent=1)
     # dims manifest last: its presence marks the whole chain complete
     write_manifest(dims_path, "dims", parse_fp, 0.0)
-    return {
-        "equivalences_path": equiv_path if eq_box[0] is not None else None,
-        "n_collapsed_methods": eq_box[0] or 0,
-        "out_dir": out_dir,
-        "nodes_path": nodes_paths(out_dir),
-        "edges_path": edges_paths(out_dir),
-        "edges_linked_path": edges_path,
-        "dims_path": os.path.join(dims_path, "rk=node"),
-        "parse_path": parse_path,
-        "link_regime": link_regime,
-        "n_methods": n_methods,
-        "n_stubs": n_stubs,
-        "n_hot_keys": len(hot_keys),
-        "n_dyn_fqns": len(dyn_fqn),
-        "dyn_regime": dyn_regime,
-        "resumed": False,
-    }
+    return _result(stats, False)

@@ -1187,13 +1187,6 @@ def doc_source_stats(sf_dir: str) -> pa.Table:
     )
 
 
-def taint_interproc_corpus(sf_dir: str) -> pa.Table:
-    """Interprocedural malloc->free taint stats over the corpus CPG:
-    tainted sources by call depth (Engine maxCallDepth crossing)."""
-    t = dataflow_malloc_to_free(sf_dir)
-    return t
-
-
 def method_lang_counts(sf_dir: str) -> pa.Table:
     """METHOD rows per source language (frontend coverage witness —
     includes the python frontend output)."""
@@ -1252,7 +1245,6 @@ def scan_conformance(sf_dir: str) -> pa.Table:
         lambda columns: ray.data.from_arrow(t),
         out,
         f"scanconf-examples-{ex_fp:x}",
-        num_partitions=2,
     )
     cpg = Cpg(res["nodes_path"], res["edges_path"])
     rows = []

@@ -31,9 +31,6 @@ def _full_match(col, regex: str):
         pc.coalesce(col, pa.scalar("")), f"^(?:{regex})$"
     )
 
-_NODE_COLS = ["id", "label", "name", "full_name", "code", "url", "line", "method_full_name", "dispatch_type"]
-
-
 class NodeSteps:
     """A lazy set of nodes (Dataset) + the graph it belongs to."""
 
@@ -559,8 +556,6 @@ class NodeSteps:
         parts = list(self.ds.iter_batches(batch_format="pyarrow", batch_size=None))
         t = pa.concat_tables(parts) if parts else None
         if t is None:
-            import pyarrow as _pa
-
             from ..schemas import NODES_SCHEMA
 
             t = NODES_SCHEMA.empty_table()

@@ -25,9 +25,6 @@ import pyarrow.compute as pc
 
 from .dsl import Cpg
 
-FINDING_COLS = ["name", "url", "line", "message"]
-
-
 @dataclass(frozen=True)
 class CodeExamples:
     """Reference `QueryUtil.scala:7-14`: each query embeds positive
@@ -200,7 +197,7 @@ def q_py_exec(cpg: Cpg) -> pa.Table:
         )
         for m in calls.column("method_full_name").to_pylist()
     ]
-    t = calls.filter(pa.array(mask))
+    t = calls.filter(pa.array(mask, pa.bool_()))
     return _findings(t, "py-exec", "dynamic execution / unsafe deserialization")
 
 

@@ -86,16 +86,6 @@ EDGES_SCHEMA = pa.schema(
     ]
 )
 
-# FQN-keyed view of edges for P/R comparison (id-free; FIXTURES.md §3).
-EDGES_FQN_SCHEMA = pa.schema(
-    [
-        pa.field("subj_fqn", pa.string()),
-        pa.field("pred", pa.string()),
-        pa.field("obj_fqn", pa.string()),
-        pa.field("variable", pa.string()),
-    ]
-)
-
 # ---------------------------------------------------------------------------
 # Rejects: per-row failure isolation — never raise inside a UDF for a data
 # error; emit a reject row instead (reference skips unparseable files and
@@ -109,34 +99,6 @@ REJECTS_SCHEMA = pa.schema(
         pa.field("reason", pa.string()),
     ]
 )
-
-# Per-partition metrics (the north-rule "per-partition lineage + metrics";
-# analog of the reference's per-file Report table, `x2cpg/.../Report.scala`).
-METRICS_SCHEMA = pa.schema(
-    [
-        pa.field("partition", pa.string()),
-        pa.field("stage", pa.string()),
-        pa.field("rows_in", pa.int64()),
-        pa.field("rows_out", pa.int64()),
-        pa.field("rejects", pa.int64()),
-        pa.field("wall_ms", pa.float64()),
-    ]
-)
-
-# Node labels in use (subset of the reference vocabulary we emit; SURVEY §1.1).
-NODE_LABELS = (
-    "META_DATA FILE NAMESPACE_BLOCK NAMESPACE TYPE_DECL TYPE MEMBER METHOD "
-    "METHOD_PARAMETER_IN METHOD_PARAMETER_OUT METHOD_RETURN METHOD_REF BLOCK "
-    "CALL IDENTIFIER FIELD_IDENTIFIER LITERAL LOCAL RETURN CONTROL_STRUCTURE "
-    "JUMP_TARGET UNKNOWN COMMENT IMPORT CONFIG_FILE"
-).split()
-
-# Edge predicates in use (subset of reference EdgeTypes; SURVEY §1.1).
-EDGE_PREDS = (
-    "AST CFG CALL ARGUMENT RECEIVER CONDITION REF CONTAINS SOURCE_FILE "
-    "EVAL_TYPE REACHING_DEF DOMINATE POST_DOMINATE CDG PARAMETER_LINK "
-    "INHERITS_FROM BINDS"
-).split()
 
 
 def empty_table(schema: pa.Schema) -> pa.Table:

@@ -520,21 +520,3 @@ def docs_table(n_docs: int, seed: int = SEED, offset: int = 0) -> pa.Table:
     """Driver-side small corpus for unit tests (no Ray)."""
     rows = pa.table({"id": pa.array(range(offset, offset + n_docs), pa.int64())})
     return gen_docs_batch(rows, seed)
-
-
-def write_corpus(path: str, n_docs: int, seed: int = SEED, rows_per_file: int = 2048) -> str:
-    """Write the corpus to partitioned Parquet under `path` (driver-side
-    loop of small tables — used by tests/bench to create a stable on-disk
-    input; the scalable path is `docs_dataset`)."""
-    import os
-
-    import pyarrow.parquet as pq
-
-    os.makedirs(path, exist_ok=True)
-    part = 0
-    for start in range(0, n_docs, rows_per_file):
-        n = min(rows_per_file, n_docs - start)
-        t = docs_table(n, seed, offset=start)
-        pq.write_table(t, os.path.join(path, f"part-{part:05d}.parquet"))
-        part += 1
-    return path

@@ -29,7 +29,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 _MERSENNE = np.uint64((1 << 61) - 1)
-_MAXHASH = np.uint64((1 << 61) - 1)
 _POPCNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import html as _htmlmod
 import re
-import time
 
 import pyarrow as pa
 
@@ -83,38 +82,12 @@ def extract_text(html: bytes) -> str:
     return joined.strip()
 
 
-class ExtractText:
-    """Actor-pool stage: adds `text` extracted from `html`.
-
-    When the input already carries a `text` column (the corpus generator
-    stores the expected extraction), this VERIFIES byte-equality per url and
-    emits a `text_ok` flag instead of silently trusting the stored column.
-    """
-
-    def __init__(self) -> None:
-        # regexes are module-level compiled; nothing heavy to init, but the
-        # class form keeps the stage an actor pool so per-actor caches are
-        # possible later.
-        pass
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        htmls = batch.column("html").to_pylist()
-        texts = [extract_text(h) for h in htmls]
-        if "text" in batch.column_names:
-            stored = batch.column("text").to_pylist()
-            ok = [a == b for a, b in zip(texts, stored)]
-            batch = batch.drop_columns(["text"])
-            batch = batch.append_column("text_ok", pa.array(ok, pa.bool_()))
-        return batch.append_column("text", pa.array(texts, pa.string()))
-
-
 # --- detect_fragments ------------------------------------------------------
 
 _FRAG_RE = re.compile(
     rb'<pre><code class="language-([a-zA-Z+#]+)">(.*?)</code></pre>', re.S
 )
 _FRAG_OPEN_RE = re.compile(rb'<pre><code class="language-([a-zA-Z+#]+)">')
-_FENCE_RE = re.compile(r"^```([a-zA-Z+#]*)\n(.*?)^```\s*$", re.S | re.M)
 
 _LANG_ALIASES = {
     "json": "json",
@@ -294,9 +267,3 @@ def detect_fragments_batch(batch: pa.Table) -> pa.Table:
         )
     cols["row_kind"] = kind
     return pa.table(cols)
-
-
-def time_stage(fn, *args):
-    t0 = time.perf_counter()
-    out = fn(*args)
-    return out, (time.perf_counter() - t0) * 1000.0

@@ -32,7 +32,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.hashing import hash64
-from ..schemas import EDGES_SCHEMA, NODES_SCHEMA, rows_to_table
+from ..schemas import EDGES_SCHEMA, NODES_SCHEMA
 
 # Labels whose rows get SOURCE_FILE edges (reference `FileCreationPass`
 # links METHOD/TYPE_DECL/NAMESPACE_BLOCK to FILE).
@@ -255,140 +255,11 @@ def mapside_link_edges(batch: pa.Table) -> pa.Table:
     )
 
 
-def type_dimension(nodes_ds) -> "pa.Table":
-    """Distinct TYPE nodes from every non-empty type_full_name (reference
-    `TypeNodePass.scala:18-60`: global distinct, sorted for determinism).
-    Small result — ok to collect."""
-
-    def project(batch: pa.Table) -> pa.Table:
-        col = batch.column("type_full_name")
-        mask = pc.and_(col.is_valid(), pc.not_equal(col, ""))
-        # pre-distinct inside the batch: shrinks the shuffle-free unique;
-        # TYPE_DECL inherits lists are ;-joined — explode them (reference
-        # TypeNodePass unions typeDecl names ∪ inheritsFrom names)
-        vals = set()
-        for v in pc.unique(batch.filter(mask).column("type_full_name")).to_pylist():
-            vals.update(p for p in v.split(";") if p)
-        return pa.table({"type_full_name": pa.array(sorted(vals), pa.string())})
-
-    uniq = nodes_ds.map_batches(project, batch_format="pyarrow").unique(
-        "type_full_name"
-    )
-    fqns = sorted(uniq or [])
-    return rows_to_table(
-        [
-            {
-                "id": type_id(f),
-                "label": "TYPE",
-                "name": f,
-                "full_name": f,
-                "order": 0,
-                "argument_index": -1,
-                "line": -1,
-                "col": -1,
-            }
-            for f in fqns
-        ],
-        NODES_SCHEMA,
-    )
-
-
-def file_nodes_batch(batch: pa.Table) -> pa.Table:
-    """docs batch -> FILE node rows (reference `FileCreationPass` creates
-    missing FILE nodes).  Runs map-side over the docs table — urls are
-    already distinct there, so no shuffle and no driver collect, which
-    matters at 10^12 docs where a FILE dimension can't be materialized."""
-    urls = batch.column("url").to_pylist()
-    return rows_to_table(
-        [
-            {
-                "id": file_id(u),
-                "label": "FILE",
-                "name": u,
-                "full_name": u,
-                "url": u,
-                "order": 0,
-                "argument_index": -1,
-                "line": -1,
-                "col": -1,
-            }
-            for u in urls
-        ],
-        NODES_SCHEMA,
-    )
-
-
-def namespace_dimension(nodes_ds) -> "pa.Table":
-    """One NAMESPACE node per distinct NAMESPACE_BLOCK name (reference
-    `NamespaceCreator.scala:13-27` groupBy(_.name))."""
-
-    def project(batch: pa.Table) -> pa.Table:
-        m = pc.equal(batch.column("label"), "NAMESPACE_BLOCK")
-        return pa.table({"name": pc.unique(batch.filter(m).column("name"))})
-
-    names = sorted(n for n in (nodes_ds.map_batches(project, batch_format="pyarrow").unique("name") or []) if n)
-    return rows_to_table(
-        [
-            {
-                "id": namespace_id(n),
-                "label": "NAMESPACE",
-                "name": n,
-                "full_name": n,
-                "order": 0,
-                "argument_index": -1,
-                "line": -1,
-                "col": -1,
-            }
-            for n in names
-        ],
-        NODES_SCHEMA,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Canonicalization: FullNameUniquenessPass analog (reference
 # `c2cpg/.../FullNameUniquenessPass.scala:31-127` — group by full_name,
 # stable-sort by (filename, line, col), rename tail `<duplicate>N`).
 # ---------------------------------------------------------------------------
-
-
-def canonicalize_table(t: pa.Table) -> pa.Table:
-    """Driver-side canonicalization of a collected METHOD/TYPE_DECL table
-    (broadcast regime): stable sort by (full_name, url, fragment_idx,
-    line, col), rename every non-first member of a collision group with
-    the `<duplicate>N` suffix — same semantics as the distributed
-    `canonicalize_group`, one pass, no shuffle."""
-    import numpy as np
-
-    if t.num_rows <= 1:
-        return t
-    t = t.take(
-        pc.sort_indices(
-            t,
-            sort_keys=[
-                ("full_name", "ascending"),
-                ("url", "ascending"),
-                ("fragment_idx", "ascending"),
-                ("line", "ascending"),
-                ("col", "ascending"),
-            ],
-        )
-    )
-    fns = t.column("full_name").to_numpy(zero_copy_only=False)
-    same = np.concatenate(([False], fns[1:] == fns[:-1]))
-    if not same.any():
-        return t
-    out = fns.copy()
-    occ = 0
-    for i in range(1, len(fns)):
-        if same[i]:
-            out[i] = f"{fns[i]}<duplicate>{occ}"
-            occ += 1
-        else:
-            occ = 0
-    return t.set_column(
-        t.schema.get_field_index("full_name"), "full_name", pa.array(out.tolist(), pa.string())
-    )
 
 
 def canonicalize_group(batch: pa.Table) -> pa.Table:
@@ -414,35 +285,6 @@ def canonicalize_group(batch: pa.Table) -> pa.Table:
 # ---------------------------------------------------------------------------
 # Method linking: broadcast regime.
 # ---------------------------------------------------------------------------
-
-
-def method_index_table(methods_ds) -> pa.Table:
-    """(full_name, id) for canonical METHOD rows — the broadcast
-    dimension.  Collected to the driver, so callers must gate on method
-    count (the pipeline falls back to `salted_call_link` past the
-    broadcast threshold).  First occurrence per full_name is canonical —
-    deterministic because canonicalization renamed collisions already."""
-
-    def project(batch: pa.Table) -> pa.Table:
-        m = pc.equal(batch.column("label"), "METHOD")
-        return batch.filter(m).select(["full_name", "id"])
-
-    parts = list(
-        methods_ds.map_batches(project, batch_format="pyarrow").iter_batches(
-            batch_format="pyarrow", batch_size=None
-        )
-    )
-    if not parts:
-        return pa.table({"full_name": pa.array([], pa.string()), "id": pa.array([], pa.uint64())})
-    t = pa.concat_tables(parts)
-    # first-wins dedup, deterministic order by (full_name, id)
-    t = t.take(pc.sort_indices(t, sort_keys=[("full_name", "ascending"), ("id", "ascending")]))
-    import numpy as np
-
-    fns = t.column("full_name").to_numpy(zero_copy_only=False)
-    keep = np.ones(len(fns), dtype=bool)
-    keep[1:] = fns[1:] != fns[:-1]
-    return t.filter(pa.array(keep))
 
 
 def _ret_type_of(sig: str | None) -> str | None:
@@ -1388,49 +1230,6 @@ def dyn_table_to_map(t: pa.Table) -> dict[str, list[str]]:
     return out
 
 
-def unresolved_stub_dimension(calls_ds, index_table: pa.Table) -> pa.Table:
-    """Distinct unresolved method_full_names -> stub METHOD rows
-    (reference `MethodStubCreator.scala:24-70`: one stub per distinct
-    CallSummary; we keep name/full_name/signature).  `calls_ds` must be
-    the CALL/METHOD_REF projection."""
-    known = set(index_table.column("full_name").to_pylist())
-
-    def project(batch: pa.Table) -> pa.Table:
-        col = batch.column("method_full_name")
-        mask = pc.and_(col.is_valid(), pc.not_equal(col, ""))
-        return pa.table({"method_full_name": pc.unique(batch.filter(mask).column("method_full_name"))})
-
-    fqns = sorted(
-        f
-        for f in (
-            calls_ds.map_batches(project, batch_format="pyarrow").unique(
-                "method_full_name"
-            )
-            or []
-        )
-        if f and f not in known
-    )
-    return rows_to_table(
-        [
-            {
-                "id": stub_id(f),
-                "label": "METHOD",
-                "name": f.rsplit(".", 1)[-1] if not f.startswith("<operator>") else f,
-                "full_name": f,
-                "signature": "",
-                "code": "<empty>",
-                "order": 0,
-                "argument_index": -1,
-                "line": -1,
-                "col": -1,
-                "lang": "",
-            }
-            for f in fqns
-        ],
-        NODES_SCHEMA,
-    )
-
-
 _HINT_FACT_SCHEMA = pa.schema(
     [
         pa.field("id", pa.uint64()),
@@ -2005,47 +1804,3 @@ def salted_call_link(
         return parts[0] if len(parts) == 1 else pa.concat_tables(parts)
 
     return union.groupby("key").map_groups(join_group, batch_format="pyarrow")
-
-
-def _fixed_pool(frac: float = 0.5, cap: int = 16) -> int:
-    """Fixed actor-pool size off the cluster CPU count — autoscaling
-    pools starting at 1 never ramp for minutes-long stages (measured;
-    BASELINE.md round-1 notes)."""
-    import ray
-
-    n = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    return max(2, min(cap, int(n * frac)))
-
-
-def key_count_survey(ds, column: str, threshold: int) -> set[str]:
-    """Distributed frequency survey: per-batch partial value_counts
-    (pre-aggregation — the combiner pattern the reference's accumulator
-    pass uses, `AstCreationPass.scala:27-72`) → small groupby sum →
-    driver-side filter.  Only keys ≥ threshold come back, so the
-    collected result stays tiny even at web scale.
-
-    Used for (a) hot-key detection before the salted join and (b) the
-    duplicated-FQN set before canonicalization (so the canonicalization
-    shuffle only moves rows that actually collide)."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        col = batch.column(column)
-        mask = pc.and_(col.is_valid(), pc.not_equal(col, ""))
-        vc = batch.filter(mask).column(column).value_counts()
-        if len(vc) == 0:
-            return pa.table(
-                {"k": pa.array([], pa.string()), "c": pa.array([], pa.int64())}
-            )
-        return pa.table({"k": vc.field("values").cast(pa.string()), "c": vc.field("counts")})
-
-    counts = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("k")
-        .sum("c")
-    )
-    out: set[str] = set()
-    for b in counts.iter_batches(batch_format="pyarrow", batch_size=None):
-        ks = b.column("k").to_pylist()
-        cs = b.column("sum(c)").to_pylist()
-        out.update(k for k, c in zip(ks, cs) if c >= threshold)
-    return out

@@ -62,25 +62,12 @@ UNION_SCHEMA = pa.schema(
 MT_LABELS = ("METHOD", "TYPE_DECL", "MEMBER")
 
 
-def make_union_table(
-    node_rows: list[dict], edge_rows: list[dict], reject_rows: list[dict]
-) -> pa.Table:
-    return make_union_from_tables(
-        rows_to_table(node_rows, NODES_SCHEMA),
-        rows_to_table(edge_rows, EDGES_SCHEMA),
-        rows_to_table(reject_rows, REJECTS_SCHEMA),
-    )
-
-
-def make_union_from_tables(
-    nt: pa.Table, et: pa.Table, rt: pa.Table, svt: "pa.Table | None" = None
-) -> pa.Table:
+def make_union_from_tables(nt: pa.Table, et: pa.Table, rt: pa.Table) -> pa.Table:
     import pyarrow.compute as pc
 
-    if svt is None:
-        from ..stages.survey import survey_partial
+    from ..stages.survey import survey_partial
 
-        svt = survey_partial(nt, et)
+    svt = survey_partial(nt, et)
     # split nodes into plain vs METHOD/TYPE_DECL (own row_kind)
     mt_mask = pc.is_in(nt.column("label"), value_set=pa.array(list(MT_LABELS)))
     mt = nt.filter(mt_mask)
@@ -136,23 +123,6 @@ def make_union_from_tables(
         pa.string(),
     )
     return pa.table(cols, schema=UNION_SCHEMA)
-
-
-def split_union(ds, kind: str):
-    """Dataset of union rows -> dataset of one kind with its own columns."""
-    keep = {
-        "node": list(NODES_SCHEMA.names),
-        "edge": list(EDGES_SCHEMA.names),
-        "reject": list(REJECTS_SCHEMA.names),
-    }[kind]
-
-    def _filter(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        mask = pc.equal(batch.column("row_kind"), kind)
-        return batch.filter(mask).select(keep)
-
-    return ds.map_batches(_filter, batch_format="pyarrow")
 
 
 class ParseFragments:

@@ -19,11 +19,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-# BPE-ish pre-tokenizer: word pieces, numbers, or single non-space symbols
-# (the GPT-2 pre-tokenizer shape, minus unicode categories).
-_BPE_RE = re.compile(r"[A-Za-z]+|[0-9]+|[^\sA-Za-z0-9]")
 _WS_RE = re.compile(r"\S+")
-_PUNCT_RE = re.compile(r"[^\w\s]")
 _STOPWORDS = frozenset(
     "the a an and or of to in is are was were be for with on at by this that "
     "it as from".split()
@@ -125,10 +121,6 @@ def lang_id_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
     best_score = scores[best, np.arange(n)]
     preds = np.where(best_score > 0, np.array(langs, dtype=object)[best], "und")
     return batch.append_column("lang_pred", pa.array(preds.tolist(), pa.string()))
-
-
-_FP_BASE = np.uint64(1099511628211)
-_FP_OFF = np.uint64(14695981039346656037)
 
 
 def fingerprint_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:

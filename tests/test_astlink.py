@@ -26,7 +26,7 @@ def _build(tmp_path, docs):
         )
         return ray.data.from_arrow(t)
 
-    res = build_cpg(docs_factory, out, "astlink-1", num_partitions=2)
+    res = build_cpg(docs_factory, out, "astlink-1")
     nodes = pa.concat_tables(
         list(
             ray.data.read_parquet(

@@ -135,10 +135,7 @@ def test_compdb_pipeline_macro_method(ray_session, tmp_path_factory):
         )
         return ray.data.from_arrow(t)
 
-    res = build_cpg(
-        docs_factory, out, "cdb-1", num_partitions=2,
-        compdb_json=cdb,
-    )
+    res = build_cpg(docs_factory, out, "cdb-1", compdb_json=cdb)
     nodes = pa.concat_tables(
         list(
             ray.data.read_parquet(

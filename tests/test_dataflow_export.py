@@ -48,7 +48,7 @@ def uaf_cpg(ray_session):
             ds = ds.map_batches(lambda b: b.select(columns), batch_format="pyarrow")
         return ds
 
-    return build_cpg(docs_factory, OUT, "uaf-1", num_partitions=2)
+    return build_cpg(docs_factory, OUT, "uaf-1")
 
 
 def test_taint_flow_malloc_to_free(ray_session, uaf_cpg):
@@ -208,7 +208,7 @@ def test_inherits_from_edges(ray_session):
             ds = ds.map_batches(lambda b: b.select(columns), batch_format="pyarrow")
         return ds
 
-    res = build_cpg(docs_factory, out, "j-1", num_partitions=2)
+    res = build_cpg(docs_factory, out, "j-1")
     edges = pa.concat_tables(
         list(
             ray.data.read_parquet(
@@ -268,7 +268,7 @@ def test_interprocedural_taint_across_documents(ray_session):
         )
         return ray.data.from_arrow(t)
 
-    res = build_cpg(docs_factory, out, "ip-1", num_partitions=2)
+    res = build_cpg(docs_factory, out, "ip-1")
     import ray.data
 
     nodes_f = lambda: ray.data.read_parquet(  # noqa: E731

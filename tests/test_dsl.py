@@ -43,13 +43,21 @@ def cpg(ray_session):
         )
         return ray.data.from_arrow(t)
 
-    res = build_cpg(docs_factory, OUT, "dsl-1", num_partitions=2)
+    res = build_cpg(docs_factory, OUT, "dsl-1")
     return Cpg(res["nodes_path"], res["edges_path"])
 
 
 def test_method_starter_and_name_filter(cpg):
     t = cpg.method("helper").l(["name", "full_name"])
     assert t.column("name").to_pylist() == ["helper"]
+
+
+def test_py_exec_scan_empty_on_graph_without_sinks(cpg):
+    """No exec/eval/system/loads call in the graph: the scan returns an
+    empty findings table instead of raising on an untyped empty mask."""
+    from joern_ray.query.scanners import q_py_exec
+
+    assert q_py_exec(cpg).num_rows == 0
 
 
 def test_dangerous_function_scan_shape(cpg):

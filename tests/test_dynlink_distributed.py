@@ -99,19 +99,11 @@ def _build(ray_session, out, gate):
         )
         return ray.data.from_arrow(t)
 
-    import os
-
-    old = os.environ.get("JOERN_RAY_DYN_GATE")
-    os.environ["JOERN_RAY_DYN_GATE"] = str(gate)
-    try:
-        return build_cpg(
-            docs_factory, out, "dynpar-1", num_partitions=2
-        )
-    finally:
-        if old is None:
-            os.environ.pop("JOERN_RAY_DYN_GATE", None)
-        else:
-            os.environ["JOERN_RAY_DYN_GATE"] = old
+    # both regimes at width 2, so the distributed closure really spreads
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("JOERN_RAY_DYN_GATE", str(gate))
+        mp.setattr("joern_ray.pipelines.cpg.exchange_width", lambda _b: 2)
+        return build_cpg(docs_factory, out, "dynpar-1")
 
 
 def _edge_multiset(res):

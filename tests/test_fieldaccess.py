@@ -27,11 +27,13 @@ USE_DOC = (
 
 
 @pytest.mark.parametrize("force_shuffle", [False, True])
-def test_cross_fragment_field_access(ray_session, force_shuffle, tmp_path):
+def test_cross_fragment_field_access(ray_session, force_shuffle, tmp_path, monkeypatch):
     import ray.data
 
     from joern_ray.pipelines.cpg import build_cpg
 
+    if force_shuffle:  # the shuffle regime keeps a width above 1
+        monkeypatch.setattr("joern_ray.pipelines.cpg.exchange_width", lambda _b: 2)
     out = str(tmp_path / ("fa_sh" if force_shuffle else "fa_bc"))
     shutil.rmtree(out, ignore_errors=True)
 
@@ -53,7 +55,6 @@ def test_cross_fragment_field_access(ray_session, force_shuffle, tmp_path):
         docs_factory,
         out,
         f"fieldaccess-{int(force_shuffle)}",
-        num_partitions=2,
         force_shuffle_link=force_shuffle,
     )
     nodes = pa.concat_tables(

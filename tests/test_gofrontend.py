@@ -198,7 +198,7 @@ def test_go_pipeline_end_to_end(ray_session, tmp_path):
         )
         return ray.data.from_arrow(t)
 
-    res = build_cpg(docs_factory, out, "go-e2e-1", num_partitions=2)
+    res = build_cpg(docs_factory, out, "go-e2e-1")
     nodes = pa.concat_tables(
         list(
             ray.data.read_parquet(

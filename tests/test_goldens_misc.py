@@ -56,7 +56,7 @@ def misc_cpg(ray_session, tmp_path_factory):
         )
         return ray.data.from_arrow(t)
 
-    res = build_cpg(docs_factory, out, "misc-goldens-1", num_partitions=2)
+    res = build_cpg(docs_factory, out, "misc-goldens-1")
     import ray.data as rd
 
     nodes = pa.concat_tables(
@@ -270,9 +270,7 @@ def test_callsummary_stub_arity(ray_session, tmp_path_factory):
         )
         return ray.data.from_arrow(t)
 
-    res = build_cpg(
-        docs_factory, out, "stubarity-1", num_partitions=2
-    )
+    res = build_cpg(docs_factory, out, "stubarity-1")
     nodes = pa.concat_tables(
         list(
             ray.data.read_parquet(
@@ -402,7 +400,7 @@ def test_typedecl_stubs_for_external_types(ray_session, tmp_path):
         )
         return ray.data.from_arrow(t)
 
-    res = build_cpg(docs_factory, out, "tds-1", num_partitions=2)
+    res = build_cpg(docs_factory, out, "tds-1")
     nodes = pa.concat_tables(
         list(
             ray.data.read_parquet(

@@ -55,7 +55,7 @@ def test_import_module_path_join(ray_session, tmp_path_factory):
         )
         return ray.data.from_arrow(t)
 
-    res = build_cpg(docs_factory, out, "imp-1", num_partitions=2)
+    res = build_cpg(docs_factory, out, "imp-1")
     nodes = pa.concat_tables(
         list(
             ray.data.read_parquet(
@@ -118,6 +118,7 @@ def test_import_module_path_join_distributed_regime(ray_session, tmp_path_factor
     from joern_ray.pipelines.cpg import build_cpg
 
     monkeypatch.setenv("JOERN_RAY_DYN_GATE", "0")
+    monkeypatch.setattr("joern_ray.pipelines.cpg.exchange_width", lambda _b: 2)
     out = str(tmp_path_factory.mktemp("impd") / "cpg")
 
     def docs_factory(columns):
@@ -139,7 +140,7 @@ def test_import_module_path_join_distributed_regime(ray_session, tmp_path_factor
         )
         return ray.data.from_arrow(t)
 
-    res = build_cpg(docs_factory, out, "impd-1", num_partitions=2)
+    res = build_cpg(docs_factory, out, "impd-1")
     assert res["dyn_regime"] == "distributed"
     nodes = pa.concat_tables(
         list(

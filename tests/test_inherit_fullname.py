@@ -23,6 +23,8 @@ def _build(tmp_path, docs, fp="inh-1", env=None, monkeypatch=None):
     if env and monkeypatch is not None:
         for k, v in env.items():
             monkeypatch.setenv(k, v)
+        # the distributed regime keeps a width above 1
+        monkeypatch.setattr("joern_ray.pipelines.cpg.exchange_width", lambda _b: 2)
     out = str(tmp_path / "cpg")
 
     def docs_factory(columns):
@@ -37,7 +39,7 @@ def _build(tmp_path, docs, fp="inh-1", env=None, monkeypatch=None):
         )
         return ray.data.from_arrow(t)
 
-    res = build_cpg(docs_factory, out, fp, num_partitions=2)
+    res = build_cpg(docs_factory, out, fp)
     nodes = pa.concat_tables(
         list(
             ray.data.read_parquet(

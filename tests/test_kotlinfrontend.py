@@ -128,7 +128,7 @@ def test_kotlin_pipeline_dynamic_dispatch(ray_session, tmp_path_factory):
         )
         return ray.data.from_arrow(t)
 
-    res = build_cpg(docs_factory, out, "ktdyn-1", num_partitions=2)
+    res = build_cpg(docs_factory, out, "ktdyn-1")
     nodes = pa.concat_tables(
         list(
             ray.data.read_parquet(

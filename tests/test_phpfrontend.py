@@ -130,7 +130,7 @@ def test_php_pipeline_dynamic_dispatch(ray_session, tmp_path_factory):
         )
         return ray.data.from_arrow(t)
 
-    res = build_cpg(docs_factory, out, "phpdyn-1", num_partitions=2)
+    res = build_cpg(docs_factory, out, "phpdyn-1")
     nodes = pa.concat_tables(
         list(
             ray.data.read_parquet(

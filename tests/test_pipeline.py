@@ -28,7 +28,10 @@ def cpg(ray_session):
     from joern_ray.pipelines.cpg import build_cpg
 
     shutil.rmtree(OUT, ignore_errors=True)
-    res = build_cpg(_docs_factory, OUT, "test-120", num_partitions=4)
+    # width 4: the broadcast side of the link-regime parity test
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("joern_ray.pipelines.cpg.exchange_width", lambda _b: 4)
+        res = build_cpg(_docs_factory, OUT, "test-120")
     yield res
 
 
@@ -95,12 +98,15 @@ def test_manifests_written(cpg):
         ), root
 
 
-def test_resume_skips_and_is_identical(ray_session, cpg):
+def test_resume_skips_and_is_identical(ray_session, cpg, monkeypatch):
     from joern_ray.pipelines.cpg import build_cpg
 
     before = _read_all(ray_session, cpg["nodes_path"])
-    res2 = build_cpg(_docs_factory, OUT, "test-120", num_partitions=4)
+    monkeypatch.setattr("joern_ray.pipelines.cpg.exchange_width", lambda _b: 4)
+    res2 = build_cpg(_docs_factory, OUT, "test-120")
     assert res2["resumed"] is True
+    # a resumed build returns the fresh build's keys, stats and paths
+    assert {**res2, "resumed": False} == cpg
     after = _read_all(ray_session, cpg["nodes_path"])
     assert before.equals(after)
 
@@ -134,7 +140,6 @@ def test_golden_f1_triples(ray_session):
     """Parse the F1 fixture through the real stages and check the
     hand-derived triple set at P/R = 1.0 on the asserted preds."""
     from joern_ray.stages.extract import detect_fragments_batch
-    from joern_ray.stages.link import method_index_table  # noqa: F401
     from joern_ray.stages.parse import ParseFragments
 
     batch = pa.table({"url": ["https://g/1"], "html": [GOLDEN_DOC.encode()]})
@@ -192,7 +197,7 @@ def test_rejects_surface_in_parse_output(ray_session):
     assert nodes.column("label").to_pylist() == ["FILE"]
 
 
-def test_shuffle_link_regime_matches_broadcast(ray_session, cpg):
+def test_shuffle_link_regime_matches_broadcast(ray_session, cpg, monkeypatch):
     """force_shuffle_link produces the same FULL edge multiset (every
     pred — CALL, REF, EVAL_TYPE, SOURCE_FILE, INHERITS_FROM, overlays)
     as the broadcast regime: the regime intended for the largest inputs
@@ -203,13 +208,8 @@ def test_shuffle_link_regime_matches_broadcast(ray_session, cpg):
 
     out = "/tmp/joern_ray_test_shuffle"
     shutil.rmtree(out, ignore_errors=True)
-    res = build_cpg(
-        _docs_factory,
-        out,
-        "test-120",
-        num_partitions=4,
-        force_shuffle_link=True,
-    )
+    monkeypatch.setattr("joern_ray.pipelines.cpg.exchange_width", lambda _b: 4)
+    res = build_cpg(_docs_factory, out, "test-120", force_shuffle_link=True)
     assert res["link_regime"] == "salted_shuffle"
 
     def edge_multiset(out_dir):
@@ -239,7 +239,7 @@ def test_shuffle_link_regime_matches_broadcast(ray_session, cpg):
     )
 
 
-def test_hot_key_salting_activates_and_stays_correct(ray_session):
+def test_hot_key_salting_activates_and_stays_correct(ray_session, monkeypatch):
     """Plant one fqn in > threshold call sites: hot-key detection must
     trigger (survey counts CALLS, not batches) and the salted join must
     still produce exactly one correct CALL edge per site."""
@@ -270,14 +270,14 @@ def test_hot_key_salting_activates_and_stays_correct(ray_session):
     )
     out = "/tmp/joern_ray_test_hotkey"
     shutil.rmtree(out, ignore_errors=True)
+    monkeypatch.setattr("joern_ray.pipelines.cpg.exchange_width", lambda _b: 2)
+    monkeypatch.setattr("joern_ray.pipelines.cpg.HOT_KEY_THRESHOLD", 100)
+    monkeypatch.setattr("joern_ray.pipelines.cpg.N_SALTS", 4)
     res = build_cpg(
         lambda columns: ray.data.from_arrow(t),
         out,
         "hotkey-30",
-        num_partitions=2,
         force_shuffle_link=True,
-        hot_key_threshold=100,
-        n_salts=4,
     )
     assert res["n_hot_keys"] >= 1  # hot_fn crossed the threshold
     nodes = _read_all(ray_session, res["nodes_path"])
@@ -332,7 +332,7 @@ def test_cross_document_call_link(ray_session):
         )
         return ray.data.from_arrow(t)
 
-    res = build_cpg(docs_factory, out, "crossdoc", num_partitions=2)
+    res = build_cpg(docs_factory, out, "crossdoc")
     nodes = _read_all(ray_session, res["nodes_path"])
     edges = _read_all(
         ray_session, res["edges_path"], columns=["subj", "pred", "obj", "variable"]
@@ -387,7 +387,7 @@ def test_dynamic_dispatch_candidates(ray_session):
         )
         return ray.data.from_arrow(t)
 
-    res = build_cpg(docs_factory, out, "dyn-1", num_partitions=2)
+    res = build_cpg(docs_factory, out, "dyn-1")
     nodes = _read_all(ray_session, res["nodes_path"])
     edges = _read_all(
         ray_session, res["edges_path"], columns=["subj", "pred", "obj", "variable"]

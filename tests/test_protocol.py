@@ -49,7 +49,7 @@ def built_cpg(ray_session, tmp_path_factory):
         )
         return ray.data.from_arrow(t)
 
-    build_cpg(docs_factory, out, "proto-1", num_partitions=2)
+    build_cpg(docs_factory, out, "proto-1")
     return out
 
 

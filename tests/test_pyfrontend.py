@@ -155,7 +155,7 @@ def test_python_pipeline_dynamic_dispatch(ray_session):
         )
         return ray.data.from_arrow(t)
 
-    res = build_cpg(docs_factory, out, "pydyn-1", num_partitions=2)
+    res = build_cpg(docs_factory, out, "pydyn-1")
     nodes = pa.concat_tables(
         list(
             ray.data.read_parquet(

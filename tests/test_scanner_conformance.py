@@ -47,7 +47,6 @@ def example_cpg(ray_session):
         lambda columns: ray.data.from_arrow(t),
         out,
         "scanconf-1",
-        num_partitions=2,
     )
     from joern_ray.query.dsl import Cpg
 

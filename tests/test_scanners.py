@@ -44,7 +44,7 @@ def cpg(ray_session):
         )
         return ray.data.from_arrow(t)
 
-    res = build_cpg(docs_factory, OUT, "vuln-1", num_partitions=2)
+    res = build_cpg(docs_factory, OUT, "vuln-1")
     return Cpg(res["nodes_path"], res["edges_path"])
 
 

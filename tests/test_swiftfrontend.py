@@ -155,7 +155,7 @@ def test_swift_pipeline_extension_unification(ray_session, tmp_path_factory):
         )
         return ray.data.from_arrow(t)
 
-    res = build_cpg(docs_factory, out, "swdyn-1", num_partitions=2)
+    res = build_cpg(docs_factory, out, "swdyn-1")
     nodes = pa.concat_tables(
         list(
             ray.data.read_parquet(

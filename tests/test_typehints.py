@@ -86,7 +86,7 @@ def test_known_local_class_still_wins():
 
 
 @pytest.mark.parametrize("force_shuffle", [False, True])
-def test_hint_linking_pipeline(ray_session, force_shuffle, tmp_path):
+def test_hint_linking_pipeline(ray_session, force_shuffle, tmp_path, monkeypatch):
     """Cross-document: hints link calls to real methods when the class
     lives in ANOTHER document; unmatched hints become stubs; hint-only
     stubs hang off <speculatedMethods>.  Runs in BOTH link regimes."""
@@ -94,6 +94,8 @@ def test_hint_linking_pipeline(ray_session, force_shuffle, tmp_path):
 
     from joern_ray.pipelines.cpg import build_cpg
 
+    if force_shuffle:  # the shuffle regime keeps a width above 1
+        monkeypatch.setattr("joern_ray.pipelines.cpg.exchange_width", lambda _b: 2)
     out = str(tmp_path / ("hint_sh" if force_shuffle else "hint_bc"))
     shutil.rmtree(out, ignore_errors=True)
 
@@ -115,7 +117,6 @@ def test_hint_linking_pipeline(ray_session, force_shuffle, tmp_path):
         docs_factory,
         out,
         f"hint-{int(force_shuffle)}",
-        num_partitions=2,
         force_shuffle_link=force_shuffle,
     )
     nodes = pa.concat_tables(
@@ -217,7 +218,7 @@ def test_rettype_iteration2_cross_document(ray_session, tmp_path):
         )
         return ray.data.from_arrow(t)
 
-    res = build_cpg(docs_factory, out, "ret2-1", num_partitions=2)
+    res = build_cpg(docs_factory, out, "ret2-1")
     nodes = pa.concat_tables(
         list(
             ray.data.read_parquet(
@@ -274,6 +275,7 @@ def test_rettype_iteration2_distributed_regime(ray_session, tmp_path, monkeypatc
     from joern_ray.pipelines.cpg import build_cpg
 
     monkeypatch.setenv("JOERN_RAY_DYN_GATE", "0")
+    monkeypatch.setattr("joern_ray.pipelines.cpg.exchange_width", lambda _b: 2)
     doc_lib = (
         '<html><body><pre><code class="language-python">'
         "class Widget:\n"
@@ -306,7 +308,7 @@ def test_rettype_iteration2_distributed_regime(ray_session, tmp_path, monkeypatc
         )
         return ray.data.from_arrow(t)
 
-    res = build_cpg(docs_factory, out, "ret2d-1", num_partitions=2)
+    res = build_cpg(docs_factory, out, "ret2d-1")
     assert res["dyn_regime"] == "distributed"
     nodes = pa.concat_tables(
         list(
@@ -384,7 +386,7 @@ def test_unresolved_ret_sentinel_never_materializes(ray_session, tmp_path):
         )
         return ray.data.from_arrow(t)
 
-    res = build_cpg(docs_factory, out, "retx-1", num_partitions=2)
+    res = build_cpg(docs_factory, out, "retx-1")
     nodes = pa.concat_tables(
         list(
             ray.data.read_parquet(

@@ -28,11 +28,11 @@ def _docs_factory(columns):
     return ds
 
 
-def _build(out, **kw):
+def _build(out):
     from joern_ray.pipelines.cpg import build_cpg
 
     shutil.rmtree(out, ignore_errors=True)
-    return build_cpg(_docs_factory, out, FP, **kw)
+    return build_cpg(_docs_factory, out, FP)
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +42,9 @@ def derived(ray_session):
 
 @pytest.fixture(scope="module")
 def forced(ray_session):
-    return _build(OUT_FORCED, num_partitions=4)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("joern_ray.pipelines.cpg.exchange_width", lambda _b: 4)
+        return _build(OUT_FORCED)
 
 
 def _manifest(path):
@@ -114,7 +116,7 @@ def test_tiny_build_one_file_per_table(derived):
         assert len(_data_files(os.path.join(out, t))) == 1, (t, _data_files(os.path.join(out, t)))
 
 
-def test_resume_at_other_width_rebuilds(ray_session, forced):
+def test_resume_at_other_width_rebuilds(ray_session, forced, monkeypatch):
     """A killed width-4 write resumed at width 2: the edges root is
     rebuilt at width 2 (never finished width-4 partitions mixed with new
     width-2 ones) and the graph equals a fresh build's."""
@@ -130,7 +132,8 @@ def test_resume_at_other_width_rebuilds(ray_session, forced):
     os.remove(os.path.join(out, "dims", "_manifest.json"))
     os.remove(os.path.join(out, "edges", "_manifest.json"))
     os.remove(os.path.join(out, "edges", "part=3", "_manifest.json"))
-    res = build_cpg(_docs_factory, out, FP, num_partitions=2)
+    monkeypatch.setattr("joern_ray.pipelines.cpg.exchange_width", lambda _b: 2)
+    res = build_cpg(_docs_factory, out, FP)
     assert res["resumed"] is False
     edges_root = os.path.join(out, "edges")
     assert sorted(d for d in os.listdir(edges_root) if d.startswith("part=")) == [
