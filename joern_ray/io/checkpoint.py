@@ -141,11 +141,14 @@ def checkpoint(
     min_rows_per_file: int | None = None,
 ):
     """Run `ds_factory()` and write its Dataset to `path` unless a valid
-    manifest already covers it; return a Dataset read back from disk.
+    manifest already covers it.
 
-    Reading back (rather than reusing the in-memory Dataset) makes every
-    downstream branch consume Parquet instead of re-executing lineage —
-    the fix for Ray Data re-running upstream stages once per consumer.
+    Consumers read the Parquet back (rather than reusing the in-memory
+    Dataset), so every downstream branch consumes Parquet instead of
+    re-executing lineage — the fix for Ray Data re-running upstream
+    stages once per consumer.  Nothing is read back here: constructing a
+    `read_parquet` Dataset lists the files and runs metadata-sampling
+    tasks, and most callers read a column subset or one partition.
     `partition_cols` hive-partitions the checkpoint (e.g. by row_kind) so
     consumers of one kind scan only that kind's files.
     `min_rows_per_file` (normally `ROWS_PER_FILE`) coalesces the output:
@@ -153,8 +156,6 @@ def checkpoint(
     files.
     """
     import shutil as _shutil
-
-    import ray.data
 
     if not manifest_matches(path, fingerprint):
         t0 = time.perf_counter()
@@ -178,7 +179,6 @@ def checkpoint(
             sch = getattr(sch, "base_schema", sch)
             _pq.write_table(sch.empty_table(), os.path.join(path, "empty.parquet"))
         write_manifest(path, stage, fingerprint, time.perf_counter() - t0)
-    return ray.data.read_parquet(path)
 
 
 # Width rule: one partition per _TARGET_BYTES of measured input.

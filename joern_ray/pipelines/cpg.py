@@ -21,10 +21,20 @@ Ray-Data stage chain with Parquet checkpoints between the macro-stages:
   stage "write"   final nodes/edges, hash-partitioned with per-partition
                   manifests (resume = skip finished partitions).
 
-Six core Dataset executions at steady state (parse, survey-agg,
-canonicalize, fused dims+spec write, linked-edge write, overlapped
-equivalence chain) — execution-launch overhead dominates small runs,
-so the count is a first-class design constraint.  Checkpoints make
+Ray streaming executions per build, measured with cpgbench on its
+`build_boilerplate` corpus (14; 13 on `build_mixed`, which has no
+duplicated class):
+  main chain  parse, survey-agg, canonicalize, ONE canonical_mt
+              projection pass, astlink (only when class names collide),
+              fused dims+spec write, and the linked-edge write's two
+              (materialize + partitioned write);
+  beside it   from parse on, the equivalence chain's six (content hash,
+              exact-dup aggregate, band signatures, bucket minimum,
+              collapse-map collect, sorted write).
+The import-resolver and inheritance probes add executions only when
+their demand gates open.  Execution-launch overhead dominates small
+runs, so the count is a first-class design constraint
+(tests/test_build_executions.py holds the budget).  Checkpoints make
 macro-stages resumable (reference overlay skip, `LayerCreator.scala:
 20-34`) and let downstream branches consume Parquet instead of
 re-executing Ray lineage.  Every exchange downstream of parse is sized
@@ -49,6 +59,7 @@ from ..io.checkpoint import (
     exchange_width,
     manifest_matches,
     partitioned_write,
+    write_manifest,
 )
 from ..schemas import EDGES_SCHEMA, NODES_SCHEMA, REJECTS_SCHEMA, rows_to_table
 from ..stages.extract import detect_fragments_batch
@@ -195,6 +206,104 @@ def keyset_split_fn(keys_ref, column: str, invert: bool = False):
     return _fn
 
 
+# The driver-side projections of canonical_mt, each with the columns its
+# consumer keeps:
+#   td_dup   canonical id per duplicated class name (AstLinkerPass)
+#   dotted   TYPE_DECLs with an import-qualified inherits base
+#            (XInheritanceFullNamePass)
+#   td_proj  TYPE_DECL hierarchy for the driver control plane
+#   index    METHOD + MEMBER rows for the broadcast link indexes
+_PROJ_COLS = {
+    "td_dup": ["full_name", "id"],
+    "dotted": ["id", "type_full_name"],
+    "td_proj": ["label", "full_name", "type_full_name"],
+    "index": ["label", "full_name", "id", "signature"],
+}
+_PROJ_SCHEMA = pa.schema(
+    [pa.field("tag", pa.string())]
+    + [
+        NODES_SCHEMA.field(c)
+        for c in ("label", "full_name", "id", "type_full_name", "signature")
+    ]
+)
+
+
+def canonical_projections(
+    canon_path: str | None,
+    *,
+    td_dup_fqns: frozenset,
+    imported_ref,
+    td_proj: bool,
+    index: bool,
+) -> dict[str, pa.Table]:
+    """ONE parallel scan of the canonical table serves every driver-side
+    projection of it (see `_PROJ_COLS`): each batch emits its rows tagged
+    with the output they belong to, and the driver splits them by tag.
+    An output is produced only when asked for — `td_dup` when
+    `td_dup_fqns` is non-empty, `dotted` when `imported_ref` (a `ray.put`
+    set of imported module names) is given — so one Ray execution
+    replaces up to four separate scans.  Without a canonical table
+    (`canon_path` None) or any output asked for, nothing is scanned."""
+    import ray.data
+
+    td_arr = pa.array(sorted(td_dup_fqns), pa.string())
+    ml = pa.array(["METHOD", "MEMBER"])
+
+    def _tagged(b: pa.Table) -> pa.Table:
+        label = b.column("label")
+        is_td = pc.equal(label, "TYPE_DECL")
+        tfn = pc.coalesce(b.column("type_full_name"), pa.scalar(""))
+        parts = []
+
+        def emit(tag: str, t: pa.Table) -> None:
+            n, keep = t.num_rows, _PROJ_COLS[tag]
+            cols = [pa.array([tag] * n, pa.string())]
+            for f_ in list(_PROJ_SCHEMA)[1:]:
+                cols.append(
+                    t.column(f_.name).cast(f_.type)
+                    if f_.name in keep
+                    else pa.nulls(n, f_.type)
+                )
+            parts.append(pa.Table.from_arrays(cols, schema=_PROJ_SCHEMA))
+
+        if len(td_arr):
+            in_dup = pc.is_in(b.column("full_name"), value_set=td_arr)
+            emit("td_dup", b.filter(pc.and_(is_td, in_dup)))
+        if imported_ref is not None:
+            import ray as _ray
+
+            imps = _KEYSET_CACHE.get("s" + imported_ref.hex())
+            if imps is None:
+                imps = _ray.get(imported_ref)
+                _KEYSET_CACHE["s" + imported_ref.hex()] = imps
+            hit = b.filter(pc.and_(is_td, pc.match_substring(tfn, ".")))
+            dotted = [
+                any(
+                    "." in base and base.rsplit(".", 1)[0] in imps
+                    for base in (v or "").split(";")
+                )
+                for v in hit.column("type_full_name").to_pylist()
+            ]
+            emit("dotted", hit.filter(pa.array(dotted, pa.bool_())))
+        if td_proj:
+            emit("td_proj", b.filter(pc.and_(is_td, pc.not_equal(tfn, ""))))
+        if index:
+            emit("index", b.filter(pc.is_in(label, value_set=ml)))
+        return pa.concat_tables(parts)
+
+    wanted = len(td_arr) or imported_ref is not None or td_proj or index
+    got = []
+    if canon_path is not None and wanted:
+        got = list(
+            ray.data.read_parquet(canon_path, columns=_PROJ_SCHEMA.names[1:])
+            .map_batches(_tagged, batch_format="pyarrow")
+            .iter_batches(batch_format="pyarrow", batch_size=None)
+        )
+    rows = pa.concat_tables(got) if got else _PROJ_SCHEMA.empty_table()
+    tag = rows.column("tag")
+    return {k: rows.filter(pc.equal(tag, k)).select(c) for k, c in _PROJ_COLS.items()}
+
+
 # fragments per parse task batch
 PARSE_BATCH_SIZE = 128
 # canonical METHOD count up to which calls link against a broadcast
@@ -226,7 +335,25 @@ def build_cpg(
     fragments are restricted to the database's file set and parsed with
     its per-file `-D` defines (reference JSONCompilationDatabaseParser,
     `c2cpg/.../parser/JSONCompilationDatabaseParser.scala:34-111`)."""
+    threads: list = []
+    try:
+        return _build_cpg(
+            docs_factory, out_dir, fingerprint, force_shuffle_link, compdb_json, threads
+        )
+    finally:
+        # the equivalence thread started after parse is joined on EVERY
+        # exit path, so a failed build leaves nothing running
+        for t in threads:
+            t.join()
+
+
+def _build_cpg(
+    docs_factory, out_dir, fingerprint, force_shuffle_link, compdb_json, threads
+) -> dict:
+    """`build_cpg`'s body; appends the threads it starts to `threads`."""
+    import shutil
     import sys
+    import threading
 
     import ray
     import ray.data
@@ -354,6 +481,101 @@ def build_cpg(
     )
     mt_ds = lambda: read_union_split(parse_path, "mtnode")  # noqa: E731
 
+    # settle a lazy-import RACE before the concurrent executions: Ray's
+    # path resolution probes `fsspec.implementations.http` on every
+    # dataset construction; the container has no aiohttp, so the import
+    # always fails and is retried — two driver threads importing it
+    # concurrently can observe a partially-initialized module ("cannot
+    # import name HTTPFileSystem") and crash.  Register a stub module
+    # once so the probe import succeeds; Ray only touches the name after
+    # an isinstance(PyFileSystem) gate that local paths never pass.
+    try:
+        import fsspec.implementations.http  # noqa: F401
+    except Exception:  # noqa: BLE001
+        import types as _types
+
+        _stub = _types.ModuleType("fsspec.implementations.http")
+        _stub.HTTPFileSystem = type("HTTPFileSystem", (), {})
+        sys.modules["fsspec.implementations.http"] = _stub
+
+    # ---- stage: entity equivalence (MinHash collapse; north star:
+    # "min-hash dedup collapses equivalent entities") -------------------
+    # Near-identical METHOD bodies across documents map to one canonical
+    # entity id (provenance preserved — members keep their own rows; the
+    # equivalences table is the collapse mapping).  It reads only the
+    # parse checkpoint's mtnode split, so it starts HERE and runs beside
+    # the whole link chain (survey → … → edge write) on its own thread.
+    # At most two streaming executors run at once — this chain and the
+    # main chain, which runs its executions one after another: a third
+    # concurrent executor livelocks at low CPU counts (all three block in
+    # get_output_blocking while the raylet thrashes workers — observed
+    # at 4 CPUs).
+    equiv_path = os.path.join(out_dir, "equivalences")
+    eq_box: list = [None]
+    errs: list[BaseException] = []
+
+    def _equiv():
+        try:
+            from ..stages.dedup import minhash_dedup
+
+            def methods_code(batch: pa.Table) -> pa.Table:
+                m = pc.and_(
+                    pc.equal(batch.column("label"), "METHOD"),
+                    pc.not_equal(pc.coalesce(batch.column("code"), pa.scalar("")), ""),
+                )
+                b = batch.filter(m)
+                return pa.table(
+                    {
+                        # ids are 63-bit — safe in the int64 the dedup
+                        # stage uses
+                        "method_id": b.column("id").combine_chunks().cast(pa.int64()),
+                        "text": pc.coalesce(b.column("code"), pa.scalar("")),
+                    }
+                )
+
+            # task-based minhash (per-worker memo) — no pinned actor
+            # CPUs, so this overlaps the main chain without starving it
+            out = minhash_dedup(
+                mt_ds().map_batches(methods_code, batch_format="pyarrow"),
+                text_col="text",
+                id_col="method_id",
+                num_perm=64,
+                bands=16,
+                num_partitions=width,
+            )
+
+            # keep only actually-collapsed members (canonical != self);
+            # the collapse mapping is written DISTRIBUTED (sorted for
+            # determinism) — at web scale it is O(duplicated methods)
+            # and must never pass through the driver
+            def collapsed_only(batch: pa.Table) -> pa.Table:
+                b = batch.filter(
+                    pc.not_equal(
+                        batch.column("method_id"), batch.column("canonical_id")
+                    )
+                )
+                return b.rename_columns(["method_id", "entity_id"])
+
+            if os.path.isdir(equiv_path):
+                shutil.rmtree(equiv_path)
+            # no materialize before the sort: `out` is materialized or a
+            # map over materialized blocks (minhash_dedup's contract), so
+            # the sort's boundary sampling re-runs nothing costly
+            (
+                out.map_batches(collapsed_only, batch_format="pyarrow")
+                .sort("method_id")
+                .write_parquet(equiv_path, min_rows_per_file=ROWS_PER_FILE)
+            )
+            os.makedirs(equiv_path, exist_ok=True)  # empty result edge case
+            m = write_manifest(equiv_path, "equivalences", parse_fp, 0.0)
+            eq_box[0] = m["rows"]
+        except BaseException as e:  # noqa: BLE001
+            errs.append(e)
+
+    t_eq = threading.Thread(target=_equiv, name="cpg-equivalences")
+    t_eq.start()
+    threads.append(t_eq)
+
     # ---- stage: survey aggregation (distributed groupby, checkpointed) --
     # Replaces the driver-side polars pass over ALL partials (O(distinct
     # FQNs × batches) transfer + ~10s fixed driver time at 600k docs):
@@ -439,7 +661,8 @@ def build_cpg(
             return g.append_column("bucket", pa.array(bucket, pa.int64()))
 
         def _bucket_combine(g: pa.Table) -> pa.Table:
-            return _local_combine(g.drop(["bucket"]))
+            # sorted: the hash group_by emits keys in no fixed order
+            return _local_combine(g.drop(["bucket"])).sort_by("skey")
 
         def _rn(b: pa.Table) -> pa.Table:
             return pa.table(
@@ -504,8 +727,8 @@ def build_cpg(
     # ---- stage: canonicalize (both regimes, fully distributed) --------
     # FullNameUniquenessPass analog: shuffle ONLY rows whose full_name
     # actually collides (the dup survey keeps the Sort input tiny), then
-    # checkpoint — downstream consumers (index projection, node write,
-    # equivalence stage) read Parquet instead of re-executing lineage,
+    # checkpoint — downstream consumers (projection pass, astlink, node
+    # write) read Parquet instead of re-executing lineage,
     # and the driver never materializes METHOD/TYPE_DECL rows.
     canon_path = os.path.join(out_dir, "canonical_mt")
     if n_mt:
@@ -539,6 +762,31 @@ def build_cpg(
     else:
         canonical_mt_for_write = None
 
+    # ---- one projection pass over canonical_mt ------------------------
+    # Every driver-side reader of the canonical table — AstLinkerPass's
+    # canonical class ids, XInheritanceFullNamePass's import-qualified
+    # bases, the driver control plane's hierarchy and the broadcast link
+    # indexes — takes its rows from ONE parallel streamed filter (a
+    # serial pads.to_table decoded the whole canon table on the driver —
+    # a fixed Amdahl term).  Which outputs it carries is known from the
+    # survey alone.
+    td_dup_fqns = frozenset(_sv_keys(_f("td_c") >= 2))
+    _imp_names = _sv_keys(_f("im_c") > 0)  # O(distinct imports)
+    imported = {n.rsplit(".", 1)[0] if "." in n else n for n in _imp_names if n}
+    imported |= {n for n in _imp_names if n}
+    imp_ref = ray.put(frozenset(imported)) if imported else None
+    dyn_driver_gate = int(os.environ.get("JOERN_RAY_DYN_GATE", 20_000_000))
+    dyn_regime = (
+        "driver" if n_methods + n_calls <= dyn_driver_gate else "distributed"
+    )
+    proj = canonical_projections(
+        canon_path if n_mt else None,
+        td_dup_fqns=td_dup_fqns,
+        imported_ref=imp_ref,
+        td_proj=dyn_regime == "driver",
+        index=use_broadcast,
+    )
+
     # ---- stage: cross-fragment AstLinkerPass --------------------------
     # (reference `x2cpg/.../base/AstLinkerPass.scala:10-62`) children of
     # RENAMED duplicate TYPE_DECLs re-link to the canonical class so a
@@ -549,47 +797,28 @@ def build_cpg(
     # streaming fusion (measured 2x, see edges_spec note below).
     astlink_path = os.path.join(out_dir, "edges_astlink")
     if os.path.isdir(astlink_path):
-        import shutil as _sh
-
-        _sh.rmtree(astlink_path)
-    td_dup_fqns = frozenset(_sv_keys(_f("td_c") >= 2))
-    if n_mt and td_dup_fqns:
-        from ..io.checkpoint import write_manifest as _wm
+        shutil.rmtree(astlink_path)
+    canon_td_ids = dict(
+        zip(
+            proj["td_dup"].column("full_name").to_pylist(),
+            proj["td_dup"].column("id").to_pylist(),
+        )
+    )
+    if canon_td_ids:
         from ..stages.link import ast_link_cross_fragment
 
-        # parallel streamed filter (a serial pads.to_table here decoded
-        # the whole canon table on the driver — a fixed Amdahl term)
-        _td_arr = pa.array(sorted(td_dup_fqns), pa.string())
-
-        def _td_pick(b: pa.Table) -> pa.Table:
-            m = pc.and_(
-                pc.equal(b.column("label"), "TYPE_DECL"),
-                pc.is_in(b.column("full_name"), value_set=_td_arr),
-            )
-            return b.filter(m).select(["full_name", "id"])
-
-        canon_td_ids: dict = {}
-        for _tb in (
-            ray.data.read_parquet(canon_path, columns=["label", "full_name", "id"])
-            .map_batches(_td_pick, batch_format="pyarrow")
-            .iter_batches(batch_format="pyarrow", batch_size=None)
-        ):
-            canon_td_ids.update(
-                zip(_tb.column("full_name").to_pylist(), _tb.column("id").to_pylist())
-            )
-        if canon_td_ids:
-            ast_link_cross_fragment(
-                lambda: ray.data.read_parquet(
-                    canon_path,
-                    columns=[
-                        "id", "label", "name", "full_name", "url", "fragment_idx",
-                    ],
-                ),
-                td_dup_fqns,
-                canon_td_ids,
-                num_buckets=width,
-            ).write_parquet(astlink_path, min_rows_per_file=ROWS_PER_FILE)
-            _wm(astlink_path, "edges_astlink", parse_fp, 0.0)
+        ast_link_cross_fragment(
+            lambda: ray.data.read_parquet(
+                canon_path,
+                columns=[
+                    "id", "label", "name", "full_name", "url", "fragment_idx",
+                ],
+            ),
+            td_dup_fqns,
+            canon_td_ids,
+            num_buckets=width,
+        ).write_parquet(astlink_path, min_rows_per_file=ROWS_PER_FILE)
+        write_manifest(astlink_path, "edges_astlink", parse_fp, 0.0)
 
     # ---- stage: XInheritanceFullNamePass (cross-document) -------------
     # (reference `x2cpg/.../frontend/XInheritanceFullNamePass.scala:
@@ -599,101 +828,23 @@ def build_cpg(
     # dimension (import-resolver pathway) resolves it to its doc and the
     # TYPE_DECL `D` defined there.  Produces (a) an alias map consumed
     # by BOTH dyn-closure regimes so override resolution crosses the
-    # import, (b) corrective INHERITS_FROM edges (own tiny root).  All
-    # probes are streamed small-set filters; the driver holds only hits.
-    from ..stages.link import type_id as _type_id
-
-    _imp_names_all = _sv_keys(_f("im_c") > 0)
-    imported_all = {
-        n.rsplit(".", 1)[0] if "." in n else n for n in _imp_names_all if n
-    }
-    imported_all |= {n for n in _imp_names_all if n}
+    # import, (b) corrective INHERITS_FROM edges (own tiny root).  The
+    # TYPE_DECLs with such a base come from the projection pass; the
+    # module and declaration probes below run only when there are any,
+    # as streamed small-set filters whose hits alone reach the driver.
     inherit_alias: dict[str, str] = {}
-    _inherit_hits: list = []
-    # demand gate (same discipline as the import resolver's): the 'ty'
-    # survey kind carries ;-exploded inherits bases, so "any dotted type
-    # key with an imported prefix" is decidable from a streamed svagg
-    # scan — C corpora (stdio.h imports everywhere, no dotted bases)
-    # never pay the canonical_mt scan below
-    _inherit_demand = False
-    if imported_all and n_mt:
-        _imp_ref2 = ray.put(frozenset(imported_all))
-
-        def _dotted_ty(b: pa.Table) -> pa.Table:
-            import ray as _ray
-
-            imps = _KEYSET_CACHE.get("s" + _imp_ref2.hex())
-            if imps is None:
-                imps = _ray.get(_imp_ref2)
-                _KEYSET_CACHE["s" + _imp_ref2.hex()] = imps
-            hit = b.filter(
-                pc.and_(
-                    pc.greater(b.column("ty_c"), 0),
-                    pc.match_substring(
-                        pc.coalesce(b.column("skey"), pa.scalar("")), "."
-                    ),
-                )
-            )
-            keep = [
-                k
-                for k in hit.column("skey").to_pylist()
-                if k and "." in k and k.rsplit(".", 1)[0] in imps
-            ]
-            return pa.table({"k": pa.array(keep, pa.string())})
-
-        for bb in (
-            ray.data.read_parquet(svagg_path, columns=["skey", "ty_c"])
-            .map_batches(_dotted_ty, batch_format="pyarrow")
-            .iter_batches(batch_format="pyarrow", batch_size=None)
-        ):
-            if bb.num_rows:
-                _inherit_demand = True
-                break
-    if _inherit_demand:
-
-        def _dotted_td(b: pa.Table) -> pa.Table:
-            import ray as _ray
-
-            imps = _KEYSET_CACHE.get("s" + _imp_ref2.hex())
-            if imps is None:
-                imps = _ray.get(_imp_ref2)
-                _KEYSET_CACHE["s" + _imp_ref2.hex()] = imps
-            m = pc.and_(
-                pc.equal(b.column("label"), "TYPE_DECL"),
-                pc.match_substring(
-                    pc.coalesce(b.column("type_full_name"), pa.scalar("")), "."
-                ),
-            )
-            hit = b.filter(m)
-            ids, tfns = [], []
-            for nid, tfn in zip(
-                hit.column("id").to_pylist(), hit.column("type_full_name").to_pylist()
-            ):
-                if any(
-                    "." in base and base.rsplit(".", 1)[0] in imps
-                    for base in (tfn or "").split(";")
-                ):
-                    ids.append(nid)
-                    tfns.append(tfn)
-            return pa.table(
-                {"id": pa.array(ids, pa.uint64()), "tfn": pa.array(tfns, pa.string())}
-            )
-
-        for bb in (
-            ray.data.read_parquet(
-                canon_path, columns=["id", "label", "type_full_name"]
-            )
-            .map_batches(_dotted_td, batch_format="pyarrow")
-            .iter_batches(batch_format="pyarrow", batch_size=None)
-        ):
-            _inherit_hits.extend(
-                zip(bb.column("id").to_pylist(), bb.column("tfn").to_pylist())
-            )
+    _inherit_hits = list(
+        zip(
+            proj["dotted"].column("id").to_pylist(),
+            proj["dotted"].column("type_full_name").to_pylist(),
+        )
+    )
+    if _inherit_hits:
         want_bases = {
             base
             for _nid, tfn in _inherit_hits
             for base in tfn.split(";")
-            if "." in base and base.rsplit(".", 1)[0] in imported_all
+            if "." in base and base.rsplit(".", 1)[0] in imported
         }
         if want_bases:
             _mods = {b.rsplit(".", 1)[0] for b in want_bases}
@@ -814,16 +965,12 @@ def build_cpg(
                             inherit_alias[b] = cand
     inherit_path = os.path.join(out_dir, "edges_inherit")
     if os.path.isdir(inherit_path):
-        import shutil as _sh2
-
-        _sh2.rmtree(inherit_path)
+        shutil.rmtree(inherit_path)
     if inherit_alias:
         import pyarrow.parquet as _pq
 
-        from ..io.checkpoint import write_manifest as _wm2
-
         _ie = sorted(
-            (nid, _type_id(inherit_alias[base]))
+            (nid, type_id(inherit_alias[base]))
             for nid, tfn in _inherit_hits
             for base in tfn.split(";")
             if base in inherit_alias
@@ -839,13 +986,12 @@ def build_cpg(
         )
         os.makedirs(inherit_path, exist_ok=True)
         _pq.write_table(_iet, os.path.join(inherit_path, "data.parquet"))
-        _wm2(inherit_path, "edges_inherit", parse_fp, 0.0)
+        write_manifest(inherit_path, "edges_inherit", parse_fp, 0.0)
 
     # ---- stage: link --------------------------------------------------
-    # The TYPE_DECL inheritance projection (hierarchy for SAFEDISPATCH
-    # dynamic dispatch) is read driver-side straight off the canonical
-    # checkpoint's Parquet footers+columns — tiny (only declarations
-    # participating in inheritance), no Ray execution.
+    # The driver regime's TYPE_DECL inheritance projection (hierarchy for
+    # SAFEDISPATCH dynamic dispatch) came out of the projection pass —
+    # tiny (only declarations participating in inheritance).
     link_regime = "broadcast" if use_broadcast else "salted_shuffle"
     from ..stages.link import (
         build_dyn_candidates,
@@ -886,50 +1032,8 @@ def build_cpg(
             t.schema.get_field_index("type_full_name"), "type_full_name", new_col
         )
 
-    dyn_driver_gate = int(os.environ.get("JOERN_RAY_DYN_GATE", 20_000_000))
-    dyn_regime = (
-        "driver" if n_methods + n_calls <= dyn_driver_gate else "distributed"
-    )
     if dyn_regime == "driver":
-        if n_mt:
-            # parallel streamed filter (serial pads.to_table decoded the
-            # whole canon table driver-side)
-            def _td_proj_pick(b: pa.Table) -> pa.Table:
-                m = pc.and_(
-                    pc.equal(b.column("label"), "TYPE_DECL"),
-                    pc.not_equal(
-                        pc.coalesce(b.column("type_full_name"), pa.scalar("")), ""
-                    ),
-                )
-                return b.filter(m)
-
-            _td_parts = list(
-                ray.data.read_parquet(
-                    canon_path, columns=["label", "full_name", "type_full_name"]
-                )
-                .map_batches(_td_proj_pick, batch_format="pyarrow")
-                .iter_batches(batch_format="pyarrow", batch_size=None)
-            )
-            td_proj = (
-                pa.concat_tables(_td_parts)
-                if _td_parts
-                else pa.table(
-                    {
-                        "label": pa.array([], pa.string()),
-                        "full_name": pa.array([], pa.string()),
-                        "type_full_name": pa.array([], pa.string()),
-                    }
-                )
-            )
-        else:
-            td_proj = pa.table(
-                {
-                    "label": pa.array([], pa.string()),
-                    "full_name": pa.array([], pa.string()),
-                    "type_full_name": pa.array([], pa.string()),
-                }
-            )
-        td_proj = _apply_inherit_alias(td_proj)
+        td_proj = _apply_inherit_alias(proj["td_proj"])
         known = frozenset(_sv_keys(_f("m_c") > 0))
         ca_fqns = _sv_keys(_f("ca_c") > 0)
         dyn_fqn = build_dyn_candidates(td_proj, ca_fqns, known)
@@ -973,9 +1077,6 @@ def build_cpg(
                 else pa.table({c: pa.array([], pa.string()) for c in cols})
             )
 
-        _imp_names = _sv_keys(_f("im_c") > 0)
-        imported = {n.rsplit(".", 1)[0] if "." in n else n for n in _imp_names if n}
-        imported |= {n for n in _imp_names if n}
         # demand gate BEFORE the module-dimension scans: only when some
         # UNRESOLVED call actually carries an imported prefix do the
         # FILE/NAMESPACE projections run (library includes like stdio.h
@@ -1150,13 +1251,8 @@ def build_cpg(
         # ret-hint fqns, resolved module urls), so each step is a
         # streamed broadcast-filtered scan collecting only hits — the
         # driver never holds anything of O(fqns) or O(docs).
-        _imp_names = _sv_keys(_f("im_c") > 0)  # O(distinct imports)
-        imported = {n.rsplit(".", 1)[0] if "." in n else n for n in _imp_names if n}
-        imported |= {n for n in _imp_names if n}
         dyn_keyset = frozenset(dyn_fqn)
         if imported:
-            imp_ref = ray.put(frozenset(imported))
-
             # unresolved dotted call fqns whose PREFIX is imported —
             # streamed over the survey, only hits collected
             def _want_pick(b: pa.Table) -> pa.Table:
@@ -1401,60 +1497,29 @@ def build_cpg(
         # workers (path spec) thrashed: 32 processes × 32-thread scans
         # re-decoding the same 150 files took the 600k edge phase from
         # 98 s to 327 s.  Measured, reverted.
-        _empty_idx = pa.table(
-            {
-                "full_name": pa.array([], pa.string()),
-                "id": pa.array([], pa.uint64()),
-                "signature": pa.array([], pa.string()),
-            }
+        # The projection pass carried BOTH broadcast indexes — METHOD
+        # (fqn, id, signature) for the call linker and MEMBER (fqn, id)
+        # for FieldAccessLinkerPass.
+        both = proj["index"]
+        idx_t = both.filter(pc.equal(both.column("label"), "METHOD")).select(
+            ["full_name", "id", "signature"]
         )
-        if n_mt:
-            # ONE parallel pass projects BOTH broadcast indexes — METHOD
-            # (fqn, id, signature) for the call linker and MEMBER
-            # (fqn, id) for FieldAccessLinkerPass.  The previous serial
-            # pads scan for MEMBER re-decoded the whole canon table on
-            # the driver (~3 s at 600k docs, a fixed Amdahl term).
-            _ML = pa.array(["METHOD", "MEMBER"])
-
-            def _idx_proj(b: pa.Table) -> pa.Table:
-                m = pc.is_in(b.column("label"), value_set=_ML)
-                return b.filter(m).select(["label", "full_name", "id", "signature"])
-
-            idx_parts = list(
-                ray.data.read_parquet(
-                    canon_path, columns=["label", "full_name", "id", "signature"]
-                )
-                .map_batches(_idx_proj, batch_format="pyarrow")
-                .iter_batches(batch_format="pyarrow", batch_size=None)
+        # canonical names are unique; sort for deterministic layout
+        index_table = idx_t.take(
+            pc.sort_indices(idx_t, sort_keys=[("full_name", "ascending")])
+        )
+        mem_t = both.filter(
+            pc.and_(
+                pc.equal(both.column("label"), "MEMBER"),
+                pc.not_equal(pc.coalesce(both.column("full_name"), pa.scalar("")), ""),
             )
-            both = (
-                pa.concat_tables(idx_parts)
-                if idx_parts
-                else _empty_idx.append_column("label", pa.array([], pa.string()))
+        ).select(["full_name", "id"])
+        mem_t = mem_t.take(
+            pc.sort_indices(
+                mem_t,
+                sort_keys=[("full_name", "ascending"), ("id", "ascending")],
             )
-            is_m = pc.equal(both.column("label"), "METHOD")
-            idx_t = both.filter(is_m).select(["full_name", "id", "signature"])
-            # canonical names are unique; sort for deterministic layout
-            index_table = idx_t.take(
-                pc.sort_indices(idx_t, sort_keys=[("full_name", "ascending")])
-            )
-            mem_t = both.filter(
-                pc.and_(
-                    pc.equal(both.column("label"), "MEMBER"),
-                    pc.not_equal(pc.coalesce(both.column("full_name"), pa.scalar("")), ""),
-                )
-            ).select(["full_name", "id"])
-            mem_t = mem_t.take(
-                pc.sort_indices(
-                    mem_t,
-                    sort_keys=[("full_name", "ascending"), ("id", "ascending")],
-                )
-            )
-        else:
-            index_table = _empty_idx
-            mem_t = pa.table(
-                {"full_name": pa.array([], pa.string()), "id": pa.array([], pa.uint64())}
-            )
+        )
         index_ref = ray.put(index_table)
         member_ref = ray.put(mem_t)
     else:
@@ -1503,7 +1568,6 @@ def build_cpg(
     # ty_c>0, NAMESPACE from ns_c>0, stubs from the anti-join filter
     # ca_c>0 & m_c=0 minus dyn-resolved keys.  No groupby, no key set
     # collected, no extra shuffle.
-    from ..io.checkpoint import write_manifest
     from ..stages.link import (
         dim_nodes_batch,
         stub_nodes_batch,
@@ -1653,10 +1717,8 @@ def build_cpg(
                 columns=["skey", "m_c", "td_c", "ty_c", "ns_c", "ca_c", "th_c", "s_max"],
             ).map_batches(_dims_and_spec, batch_format="pyarrow")
         )
-        import shutil as _shutil
-
         if os.path.isdir(dims_path):
-            _shutil.rmtree(dims_path)
+            shutil.rmtree(dims_path)
         dims_ds.write_parquet(
             dims_path, partition_cols=["rk"], min_rows_per_file=ROWS_PER_FILE
         )
@@ -1754,124 +1816,16 @@ def build_cpg(
             return EDGES_SCHEMA.empty_table()
         return pa.concat_tables(parts)
 
-    # edges write + MinHash equivalence run concurrently (independent)
-    import threading
-
-    # settle a lazy-import RACE before the concurrent writes: Ray's path
-    # resolution probes `fsspec.implementations.http` on every dataset
-    # construction; the container has no aiohttp, so the import always
-    # fails and is retried — two driver threads importing it
-    # concurrently can observe a partially-initialized module ("cannot
-    # import name HTTPFileSystem") and crash.  Register a stub module
-    # once so the probe import succeeds; Ray only touches the name after
-    # an isinstance(PyFileSystem) gate that local paths never pass.
-    try:
-        import fsspec.implementations.http  # noqa: F401
-    except Exception:  # noqa: BLE001
-        import types as _types
-
-        _stub = _types.ModuleType("fsspec.implementations.http")
-        _stub.HTTPFileSystem = type("HTTPFileSystem", (), {})
-        sys.modules["fsspec.implementations.http"] = _stub
-
-    errs: list[BaseException] = []
-
-    def _w(ds_, path_, name_):
-        try:
-            # partitioned write (hash by subj, per-partition manifests).
-            # A streaming write_parquet (no materialize/shuffle) was
-            # measured as the alternative at 600k docs: faster at 8 CPUs
-            # (470s vs 534s total) but slower at 32 (240s vs 225s — one
-            # small file per block beats the coalescing shuffle only
-            # when CPUs are scarce); the partitioned layout also keeps
-            # partition-level resume, so it stays the default.
-            partitioned_write(ds_, path_, name_, parse_fp, width)
-        except BaseException as e:  # noqa: BLE001
-            errs.append(e)
-
-    # dims runs SEQUENTIALLY before the two overlapped writes: a third
-    # concurrent streaming executor livelocks at low CPU counts (all
-    # three block in get_output_blocking while the raylet thrashes
-    # workers — observed at 4 CPUs); the dims execution is small (one
-    # groupby over distinct FQNs), so serializing costs little.
+    # partitioned write (hash by subj, per-partition manifests), on the
+    # main thread after dims.  A streaming write_parquet (no
+    # materialize/shuffle) was measured as the alternative at 600k docs:
+    # faster at 8 CPUs (470s vs 534s total) but slower at 32 (240s vs
+    # 225s — one small file per block beats the coalescing shuffle only
+    # when CPUs are scarce); the partitioned layout also keeps
+    # partition-level resume, so it stays the default.
     _build_dims()
-    t2 = threading.Thread(target=_w, args=(final_edges, edges_path, "edges"))
-    t2.start()
-
-    # ---- stage: entity equivalence (MinHash collapse; north star:
-    # "min-hash dedup collapses equivalent entities") -------------------
-    # Near-identical METHOD bodies across documents map to one canonical
-    # entity id (provenance preserved — members keep their own rows; the
-    # equivalences table is the collapse mapping).  Distributed
-    # (MinHasher actor pool + band groupby) and overlapped with the two
-    # partitioned writes.
-    equiv_path = os.path.join(out_dir, "equivalences")
-    eq_box: list = [None]
-
-    def _equiv():
-        try:
-            from ..stages.dedup import minhash_dedup
-
-            def methods_code(batch: pa.Table) -> pa.Table:
-                m = pc.and_(
-                    pc.equal(batch.column("label"), "METHOD"),
-                    pc.not_equal(pc.coalesce(batch.column("code"), pa.scalar("")), ""),
-                )
-                b = batch.filter(m)
-                return pa.table(
-                    {
-                        # ids are 63-bit — safe in the int64 the dedup
-                        # stage uses
-                        "method_id": b.column("id").combine_chunks().cast(pa.int64()),
-                        "text": pc.coalesce(b.column("code"), pa.scalar("")),
-                    }
-                )
-
-            # task-based minhash (per-worker memo) — no pinned actor
-            # CPUs, so this overlaps the edge write without starving it
-            out = minhash_dedup(
-                mt_ds().map_batches(methods_code, batch_format="pyarrow"),
-                text_col="text",
-                id_col="method_id",
-                num_perm=64,
-                bands=16,
-                num_partitions=width,
-            )
-
-            # keep only actually-collapsed members (canonical != self);
-            # the collapse mapping is written DISTRIBUTED (sorted for
-            # determinism) — at web scale it is O(duplicated methods)
-            # and must never pass through the driver
-            def collapsed_only(batch: pa.Table) -> pa.Table:
-                b = batch.filter(
-                    pc.not_equal(
-                        batch.column("method_id"), batch.column("canonical_id")
-                    )
-                )
-                return b.rename_columns(["method_id", "entity_id"])
-
-            import shutil as _shutil
-
-            if os.path.isdir(equiv_path):
-                _shutil.rmtree(equiv_path)
-            (
-                # materialize first: Ray's sort samples boundaries in an
-                # extra pass that would re-execute the minhash lineage
-                out.map_batches(collapsed_only, batch_format="pyarrow")
-                .materialize()
-                .sort("method_id")
-                .write_parquet(equiv_path, min_rows_per_file=ROWS_PER_FILE)
-            )
-            os.makedirs(equiv_path, exist_ok=True)  # empty result edge case
-            m = write_manifest(equiv_path, "equivalences", parse_fp, 0.0)
-            eq_box[0] = m["rows"]
-        except BaseException as e:  # noqa: BLE001
-            errs.append(e)
-
-    t3 = threading.Thread(target=_equiv)
-    t3.start()
-    t2.join()
-    t3.join()
+    partitioned_write(final_edges, edges_path, "edges", parse_fp, width)
+    t_eq.join()
     if errs:
         raise errs[0]
     # stub count for stats/metrics: footer-filtered count off the dims

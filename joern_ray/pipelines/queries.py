@@ -637,6 +637,8 @@ def _raw_fragments_ds(sf_dir: str):
     vectors query all consume this, so the corpus generation + fragment
     detection runs ONCE instead of once per query (it was the dominant
     cost of `minhash_dedup_corpus` at bench scale)."""
+    import ray.data
+
     from ..io.checkpoint import checkpoint
     from ..schemas import FRAGMENTS_SCHEMA
     from ..sources.corpus import docs_dataset
@@ -659,7 +661,8 @@ def _raw_fragments_ds(sf_dir: str):
 
     # keep this tag in lockstep with _cpg_paths' corpus tag: the corpus
     # generator is input, not parser code, so no fingerprint covers it
-    return checkpoint(factory, path, "fragments", f"corpus-{n}-seed42-v6")
+    checkpoint(factory, path, "fragments", f"corpus-{n}-seed42-v6")
+    return ray.data.read_parquet(path)
 
 
 def _fragments_ds(sf_dir: str):

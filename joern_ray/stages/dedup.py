@@ -471,6 +471,9 @@ def minhash_dedup(
 
     `ds` is consumed twice (projection + rep-text pull) — pass a
     checkpoint/Parquet-backed Dataset so re-execution is a re-read.
+    The result is cheap to consume more than once: in the broadcast
+    regime a map over materialized blocks, otherwise materialized (a
+    join lineage re-run would repeat its shuffles).
     By default: one union-find hop; documents transitively linked only
     through longer chains keep separate canonicals (bounded-round
     choice, same spirit as the reference's fixed-iteration type
@@ -563,7 +566,9 @@ def minhash_dedup(
                 {id_col: batch.column(id_col), "rep": pa.array(rep, pa.int64())}
             )
 
-        m1_map = m1.map_batches(assign_rep, batch_format="pyarrow").materialize()
+        # lazy: it fuses into the single map `finalize` runs over the
+        # materialized m1 blocks
+        m1_map = m1.map_batches(assign_rep, batch_format="pyarrow")
 
         def rep_filter(batch: pa.Table) -> pa.Table:
             """Keep exactly one row per distinct content: dup-map miss
@@ -651,7 +656,7 @@ def minhash_dedup(
                 }
             )
 
-        return final.map_batches(_final_cc, batch_format="pyarrow")
+        return final.map_batches(_final_cc, batch_format="pyarrow").materialize()
 
     # ---- level 2: bucket min + per-rep global min (built-in aggs) -----
     # The bucket-min PICKUP differs per regime: the broadcast regime must
@@ -874,7 +879,7 @@ def minhash_dedup(
             }
         )
 
-    return joined.map_batches(_final_join, batch_format="pyarrow")
+    return joined.map_batches(_final_join, batch_format="pyarrow").materialize()
 
 
 # ---------------------------------------------------------------------------

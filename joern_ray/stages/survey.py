@@ -120,9 +120,10 @@ def survey_partial(batch: pa.Table, edges: "pa.Table | None" = None) -> pa.Table
             r = s.split("(")[0]
             if r and r != "ANY":
                 tvals.add(r)
-    for v in tvals:
-        if v:
-            emit("ty", v, 1)
+    # sorted: set order follows the worker's string-hash seed, and the
+    # survey rows are written to the parse checkpoint as they come
+    for v in sorted(filter(None, tvals)):
+        emit("ty", v, 1)
     for v in pc.unique(
         batch.filter(pc.equal(labels, "NAMESPACE_BLOCK")).column("name")
     ).to_pylist():

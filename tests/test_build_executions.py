@@ -1,0 +1,106 @@
+"""`build_cpg` runs the MinHash equivalence chain on its own thread beside
+the link chain: the thread is joined on every exit path, an error on
+either side fails the build, and a build stays within its budget of
+Ray streaming executions (each one pays a fixed launch cost that
+dominates small builds)."""
+
+import threading
+
+import pyarrow as pa
+import pytest
+
+# Two pages reopen `Widget` (so the AstLinkerPass exchange runs) and
+# repeat one method body (so the equivalence chain collapses something).
+_PAGES = {
+    "https://ex/a.rb": "class Widget\n  def alpha\n    return 1 + 2\n  end\nend\n",
+    "https://ex/b.rb": "class Widget\n  def beta\n    return 1 + 2\n  end\nend\n",
+    "https://ex/c.rb": "class Gadget\n  def gamma(x)\n    return x * 3\n  end\nend\n",
+}
+
+# parse, survey, canonicalize, the canonical_mt projection pass,
+# astlink, dims and the edge write's two, plus six for the equivalence
+# chain
+EXECUTION_BUDGET = 14
+
+
+def _docs_factory(columns):
+    import ray.data
+
+    html = [
+        '<html><body><pre><code class="language-ruby">' + body + "</code></pre></body></html>"
+        for body in _PAGES.values()
+    ]
+    return ray.data.from_arrow(
+        pa.table(
+            {
+                "url": list(_PAGES),
+                "warc_ts": pa.array([0] * len(html), pa.timestamp("us")),
+                "html": pa.array([h.encode() for h in html], pa.large_binary()),
+                "text": [""] * len(html),
+                "lang": ["en"] * len(html),
+            }
+        )
+    )
+
+
+def _equiv_threads() -> list:
+    return [t for t in threading.enumerate() if t.name == "cpg-equivalences"]
+
+
+def test_build_stays_within_execution_budget(ray_session, tmp_path, monkeypatch):
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    from joern_ray.pipelines.cpg import build_cpg
+
+    calls: list = []
+    orig = StreamingExecutor.execute
+
+    def counted(self_, *a, **k):
+        calls.append(threading.current_thread().name)
+        return orig(self_, *a, **k)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    res = build_cpg(_docs_factory, str(tmp_path / "cpg"), "budget-1")
+    assert res["n_collapsed_methods"] >= 1
+    assert len(calls) <= EXECUTION_BUDGET, f"{len(calls)} executions: {calls}"
+
+
+def test_main_chain_error_joins_equivalence_thread(ray_session, tmp_path, monkeypatch):
+    """The main chain fails while the equivalence chain is still running:
+    the build raises the main chain's error only after the thread ended."""
+    import joern_ray.pipelines.cpg as cpg
+    import joern_ray.stages.dedup as dedup
+
+    failed, finished = threading.Event(), threading.Event()
+    real = dedup.minhash_dedup
+
+    def held_minhash(*a, **k):
+        failed.wait(120)  # still running when the main chain raises
+        try:
+            return real(*a, **k)
+        finally:
+            finished.set()
+
+    def broken_projections(*a, **k):
+        failed.set()
+        raise RuntimeError("main chain failed")
+
+    monkeypatch.setattr(dedup, "minhash_dedup", held_minhash)
+    monkeypatch.setattr(cpg, "canonical_projections", broken_projections)
+    with pytest.raises(RuntimeError, match="main chain failed"):
+        cpg.build_cpg(_docs_factory, str(tmp_path / "cpg"), "lifecycle-1")
+    assert finished.is_set()
+    assert not _equiv_threads()
+
+
+def test_equivalence_error_fails_the_build(ray_session, tmp_path, monkeypatch):
+    import joern_ray.stages.dedup as dedup
+    from joern_ray.pipelines.cpg import build_cpg
+
+    def broken_minhash(*a, **k):
+        raise RuntimeError("equivalence chain failed")
+
+    monkeypatch.setattr(dedup, "minhash_dedup", broken_minhash)
+    with pytest.raises(RuntimeError, match="equivalence chain failed"):
+        build_cpg(_docs_factory, str(tmp_path / "cpg"), "lifecycle-2")
+    assert not _equiv_threads()
