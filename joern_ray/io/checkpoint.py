@@ -14,7 +14,8 @@ killed run skips finished partitions (north rule: per-partition lineage
 + metrics); those manifests record the width P they were written at.
 
 `exchange_width` sizes every shuffle of a build from the parse
-checkpoint's measured bytes instead of fixed widths; `ROWS_PER_FILE`
+checkpoint's measured bytes instead of fixed widths, `read_root` sizes
+every read of a checkpoint from its bytes on disk, and `ROWS_PER_FILE`
 coalesces the small tables Ray splits into many blocks.
 """
 
@@ -139,6 +140,7 @@ def checkpoint(
     fingerprint: str,
     partition_cols=None,
     min_rows_per_file: int | None = None,
+    schema=None,
 ):
     """Run `ds_factory()` and write its Dataset to `path` unless a valid
     manifest already covers it.
@@ -153,7 +155,9 @@ def checkpoint(
     consumers of one kind scan only that kind's files.
     `min_rows_per_file` (normally `ROWS_PER_FILE`) coalesces the output:
     a table Ray split into many blocks is otherwise written as many tiny
-    files.
+    files.  `schema`, when the output's is known, types a 0-row output
+    without asking Ray, which runs the lineage again to answer and has
+    no schema to give after an exchange of empty blocks.
     """
     import shutil as _shutil
 
@@ -175,8 +179,10 @@ def checkpoint(
             import pyarrow.parquet as _pq
 
             os.makedirs(path, exist_ok=True)
-            sch = ds.schema(fetch_if_missing=True)
-            sch = getattr(sch, "base_schema", sch)
+            sch = schema
+            if sch is None:
+                sch = ds.schema(fetch_if_missing=True)
+                sch = getattr(sch, "base_schema", sch)
             _pq.write_table(sch.empty_table(), os.path.join(path, "empty.parquet"))
         write_manifest(path, stage, fingerprint, time.perf_counter() - t0)
 
@@ -203,6 +209,63 @@ def exchange_width(nbytes: int) -> int:
     return max(1, math.ceil(nbytes / _TARGET_BYTES))
 
 
+def _parquet_files(roots: list[str]) -> list[str]:
+    files: list[str] = []
+    for root in roots:
+        for dirpath, _dirs, names in os.walk(root):
+            files.extend(
+                os.path.join(dirpath, f) for f in names if f.endswith(".parquet")
+            )
+    return sorted(files)
+
+
+# Ray's default in-memory / on-disk size estimate for Parquet
+# (`PARQUET_ENCODING_RATIO_ESTIMATE_DEFAULT`)
+_PARQUET_ENCODING_RATIO = 5
+
+
+def read_blocks(nbytes: int) -> int:
+    """Block count of a read of `nbytes` of Parquet on disk: Ray's own
+    read rule (`ray.data._internal.util._autodetect_parallelism`) over
+    the estimated in-memory size, without its `2 x available CPUs`
+    floor.  That floor split a 400-row checkpoint into 8 blocks of 50
+    rows on 4 CPUs, and every map and sort downstream paid a task per
+    block.  Like `exchange_width`, it depends on the input alone."""
+    import ray.data
+
+    ctx = ray.data.DataContext.get_current()
+    mem = nbytes * _PARQUET_ENCODING_RATIO
+    n = min(ctx.read_op_min_num_blocks, math.ceil(mem / ctx.target_min_block_size))
+    if ctx.target_max_block_size:  # None: blocks of any size
+        n = max(n, math.ceil(mem / ctx.target_max_block_size))
+    return max(1, n)
+
+
+def read_root(paths: str | list[str], columns: list[str]):
+    """Read the `columns` of one or more checkpoint root directories in
+    `read_blocks(bytes on disk)` blocks.  Roots that do not exist are
+    skipped (a corpus without code writes no `survey` or `mtnode` split);
+    when no Parquet file is left the result is an empty Dataset typed by
+    the parse checkpoint's union schema, which carries every column a
+    build reads from a split that may be absent."""
+    import pyarrow as pa
+    import ray.data
+
+    roots = [p for p in ([paths] if isinstance(paths, str) else paths) if os.path.exists(p)]
+    files = _parquet_files(roots)
+    if not files:
+        from ..stages.parse import UNION_SCHEMA
+
+        return ray.data.from_arrow(
+            pa.schema([UNION_SCHEMA.field(c) for c in columns]).empty_table()
+        )
+    return ray.data.read_parquet(
+        roots if len(roots) > 1 else roots[0],
+        columns=columns,
+        override_num_blocks=read_blocks(sum(os.path.getsize(f) for f in files)),
+    )
+
+
 # edge columns in `partitioned_write`'s sort and dedup order
 _EDGE_COLS = ("subj", "pred", "obj", "variable")
 
@@ -225,7 +288,9 @@ def partitioned_write(ds, path: str, stage: str, fingerprint: str, num_partition
     another width: `subj % P` under two widths assigns rows to different
     partitions, so mixing them would drop or duplicate rows.
     Within-partition sort makes files byte-stable across runs (north
-    rule: kill/restart → byte-identical output)."""
+    rule: kill/restart → byte-identical output).  A root with no edge
+    at all holds one empty `EDGES_SCHEMA` file, so readers of the edge
+    set still find a typed table."""
     import shutil
 
     import numpy as np
@@ -242,8 +307,9 @@ def partitioned_write(ds, path: str, stage: str, fingerprint: str, num_partition
     # the root manifest marks completion; every partition directory that
     # is not a finished partition at THIS width — a killed write's
     # leftovers, or any partition of another width — is cleared
-    if os.path.exists(manifest_path(path)):
-        os.remove(manifest_path(path))
+    for f in (manifest_path(path), os.path.join(path, "empty.parquet")):
+        if os.path.exists(f):
+            os.remove(f)
     for d in os.listdir(path):
         if d.startswith("part=") and int(d[len("part="):]) not in done:
             shutil.rmtree(os.path.join(path, d))
@@ -298,8 +364,10 @@ def partitioned_write(ds, path: str, stage: str, fingerprint: str, num_partition
     # boundary-sampling pass first, which would re-execute the (expensive)
     # upstream lineage a second time; materialized blocks live in the
     # object store and spill under pressure.  Then coalesce: the sort's
-    # cost scales with block COUNT, not bytes (observed 35s over 708
-    # tiny union-produced blocks vs 2s over 160) — repartition first.
+    # cost scales with block COUNT, not bytes (observed 35s over 708 tiny
+    # blocks vs 2s over 160).  The link scan reads through `read_root`,
+    # so its blocks are already sized from bytes on disk; this bounds
+    # any input split finer than the width.
     tagged = ds.map_batches(add_part, batch_format="pyarrow").materialize()
     if tagged.num_blocks() > 2 * num_partitions:
         tagged = tagged.repartition(num_partitions)
@@ -317,5 +385,9 @@ def partitioned_write(ds, path: str, stage: str, fingerprint: str, num_partition
         total += m["rows"]
     for p in done:
         total += read_manifest(os.path.join(path, f"part={p}")).get("rows", 0)
+    if not parts_written and not done:
+        from ..schemas import EDGES_SCHEMA
+
+        pq.write_table(EDGES_SCHEMA.empty_table(), os.path.join(path, "empty.parquet"))
     write_manifest(path, stage, fingerprint, wall, extra={"total_rows": total, **wx})
     return path

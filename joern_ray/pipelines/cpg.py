@@ -40,7 +40,13 @@ macro-stages resumable (reference overlay skip, `LayerCreator.scala:
 re-executing Ray lineage.  Every exchange downstream of parse is sized
 by ONE width (`io.checkpoint.exchange_width`) derived from the parse
 checkpoint's measured bytes, and every table written downstream of it
-is coalesced to `ROWS_PER_FILE` rows per file.
+is coalesced to `ROWS_PER_FILE` rows per file.  Reads are sized from
+bytes the same way: every checkpoint the build reads back goes through
+`io.checkpoint.read_root`, whose block count comes from the files' size
+on disk, not from Ray's `2 x available CPUs` floor (which split a
+400-row table into 8 blocks, and every map and sort after it into 8
+tasks).  A split the corpus never produced reads as an empty typed
+Dataset.
 """
 
 from __future__ import annotations
@@ -55,10 +61,12 @@ from ..functions.hashing import hash64
 from ..io.checkpoint import ENGINE_VERSION as _ENGINE_VERSION
 from ..io.checkpoint import (
     ROWS_PER_FILE,
+    _parquet_files,
     checkpoint,
     exchange_width,
     manifest_matches,
     partitioned_write,
+    read_root,
     write_manifest,
 )
 from ..schemas import EDGES_SCHEMA, NODES_SCHEMA, REJECTS_SCHEMA, rows_to_table
@@ -81,16 +89,6 @@ _KEEP = {
     "reject": list(REJECTS_SCHEMA.names),
     "survey": ["skind", "skey", "sc", "sn", "sx"],
 }
-
-
-def _parquet_files(roots: list[str]) -> list[str]:
-    files: list[str] = []
-    for root in roots:
-        for dirpath, _dirs, names in os.walk(root):
-            files.extend(
-                os.path.join(dirpath, f) for f in names if f.endswith(".parquet")
-            )
-    return sorted(files)
 
 
 def edges_paths(out_dir: str) -> list[str]:
@@ -156,23 +154,12 @@ def read_edges(out_dir: str, columns: list[str] | None = None):
     )
 
 
-def read_union_split(path: str, kind: str):
+def read_union_split(path: str, kind: str, columns: list[str] | None = None):
     """Read one row_kind from a union checkpoint.  The checkpoint is
     hive-partitioned by row_kind, so this scans ONLY that kind's files
-    and decodes only its columns; falls back to filter for un-partitioned
-    checkpoints (older layouts)."""
-    import ray.data
-
-    keep = _KEEP[kind]
-    sub = os.path.join(path, f"row_kind={kind}")
-    if os.path.isdir(sub):
-        return ray.data.read_parquet(sub, columns=keep)
-    ds = ray.data.read_parquet(path, columns=keep + ["row_kind"])
-
-    def _f(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.equal(batch.column("row_kind"), kind)).select(keep)
-
-    return ds.map_batches(_f, batch_format="pyarrow")
+    and decodes only its columns (`columns`, default all of the kind's);
+    a kind the corpus never produced reads as an empty typed Dataset."""
+    return read_root(os.path.join(path, f"row_kind={kind}"), columns or _KEEP[kind])
 
 
 # Per-worker memo for broadcast key sets: plain TASKS (no pinned actor
@@ -244,8 +231,6 @@ def canonical_projections(
     set of imported module names) is given — so one Ray execution
     replaces up to four separate scans.  Without a canonical table
     (`canon_path` None) or any output asked for, nothing is scanned."""
-    import ray.data
-
     td_arr = pa.array(sorted(td_dup_fqns), pa.string())
     ml = pa.array(["METHOD", "MEMBER"])
 
@@ -295,7 +280,7 @@ def canonical_projections(
     got = []
     if canon_path is not None and wanted:
         got = list(
-            ray.data.read_parquet(canon_path, columns=_PROJ_SCHEMA.names[1:])
+            read_root(canon_path, _PROJ_SCHEMA.names[1:])
             .map_batches(_tagged, batch_format="pyarrow")
             .iter_batches(batch_format="pyarrow", batch_size=None)
         )
@@ -476,9 +461,7 @@ def _build_cpg(
         "method_full_name", "type_full_name", "url",
         "dynamic_type_hint_full_name",
     ]
-    nodes_for_link = lambda: ray.data.read_parquet(  # noqa: E731
-        os.path.join(parse_path, "row_kind=node"), columns=_LINK_COLS
-    )
+    nodes_for_link = lambda: read_union_split(parse_path, "node", _LINK_COLS)  # noqa: E731
     mt_ds = lambda: read_union_split(parse_path, "mtnode")  # noqa: E731
 
     # settle a lazy-import RACE before the concurrent executions: Ray's
@@ -609,6 +592,12 @@ def _build_cpg(
         "skey", "m_c", "td_c", "mb_c", "ty_c", "ns_c", "ca_c", "th_c",
         "im_c", "sn", "sx",
     ]
+    # the survey_agg checkpoint: _SV_NAMES with the arg stats renamed
+    _SV_SCHEMA = pa.schema(
+        [("skey", pa.string())]
+        + [(c_, pa.int64()) for c_ in _SV_NAMES[1:-2]]
+        + [("s_min", pa.int64()), ("s_max", pa.int64())]
+    )
     n_sv_buckets = width
 
     def svagg_factory():
@@ -665,20 +654,9 @@ def _build_cpg(
             return _local_combine(g.drop(["bucket"])).sort_by("skey")
 
         def _rn(b: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    "skey": b.column("skey").cast(pa.string()),
-                    "m_c": b.column("m_c").cast(pa.int64()),
-                    "td_c": b.column("td_c").cast(pa.int64()),
-                    "mb_c": b.column("mb_c").cast(pa.int64()),
-                    "ty_c": b.column("ty_c").cast(pa.int64()),
-                    "ns_c": b.column("ns_c").cast(pa.int64()),
-                    "ca_c": b.column("ca_c").cast(pa.int64()),
-                    "th_c": b.column("th_c").cast(pa.int64()),
-                    "im_c": b.column("im_c").cast(pa.int64()),
-                    "s_min": b.column("sn").cast(pa.int64()),
-                    "s_max": b.column("sx").cast(pa.int64()),
-                }
+            return pa.Table.from_arrays(
+                [b.column(c_).cast(f_.type) for c_, f_ in zip(_SV_NAMES, _SV_SCHEMA)],
+                schema=_SV_SCHEMA,
             )
 
         # combine -> bucket shuffle on a small int key -> vectorized
@@ -687,18 +665,21 @@ def _build_cpg(
         # sf0.1); this shape is 2.7s and all the per-key work stays in
         # Arrow kernels.  Buckets scale with the measured width, so
         # per-group size is distinct_keys/buckets regardless of corpus size.
-        survey_src = ray.data.read_parquet(
-            os.path.join(parse_path, "row_kind=survey"), columns=_KEEP["survey"]
-        )
         return (
-            survey_src.map_batches(_pivot, batch_format="pyarrow")
+            read_union_split(parse_path, "survey")
+            .map_batches(_pivot, batch_format="pyarrow")
             .groupby("bucket")
             .map_groups(_bucket_combine, batch_format="pyarrow")
             .map_batches(_rn, batch_format="pyarrow")
         )
 
     checkpoint(
-        svagg_factory, svagg_path, "survey_agg", parse_fp, min_rows_per_file=ROWS_PER_FILE
+        svagg_factory,
+        svagg_path,
+        "survey_agg",
+        parse_fp,
+        min_rows_per_file=ROWS_PER_FILE,
+        schema=_SV_SCHEMA,
     )
     _svds = pads.dataset(svagg_path, format="parquet")
 
@@ -758,7 +739,7 @@ def _build_cpg(
             parse_fp,
             min_rows_per_file=ROWS_PER_FILE,
         )
-        canonical_mt_for_write = ray.data.read_parquet(canon_path, columns=_LINK_COLS)
+        canonical_mt_for_write = read_root(canon_path, _LINK_COLS)
     else:
         canonical_mt_for_write = None
 
@@ -808,11 +789,9 @@ def _build_cpg(
         from ..stages.link import ast_link_cross_fragment
 
         ast_link_cross_fragment(
-            lambda: ray.data.read_parquet(
+            lambda: read_root(
                 canon_path,
-                columns=[
-                    "id", "label", "name", "full_name", "url", "fragment_idx",
-                ],
+                ["id", "label", "name", "full_name", "url", "fragment_idx"],
             ),
             td_dup_fqns,
             canon_td_ids,
@@ -886,9 +865,8 @@ def _build_cpg(
             _idim: dict[str, str] = {}
             for m_, u_ in sorted(
                 (m_, u_)
-                for bb in ray.data.read_parquet(
-                    os.path.join(parse_path, "row_kind=node"),
-                    columns=["label", "name", "url"],
+                for bb in read_union_split(
+                    parse_path, "node", ["label", "name", "url"]
                 )
                 .map_batches(_mod_scan, batch_format="pyarrow")
                 .iter_batches(batch_format="pyarrow", batch_size=None)
@@ -945,8 +923,8 @@ def _build_cpg(
                 _td_by: dict[tuple, str] = {}
                 for u_, n_, fn_ in sorted(
                     (u_, n_, fn_)
-                    for bb in ray.data.read_parquet(
-                        canon_path, columns=["label", "name", "full_name", "url"]
+                    for bb in read_root(
+                        canon_path, ["label", "name", "full_name", "url"]
                     )
                     .map_batches(_td_probe, batch_format="pyarrow")
                     .iter_batches(batch_format="pyarrow", batch_size=None)
@@ -1052,8 +1030,6 @@ def _build_cpg(
         # decodes O(graph) string columns single-threaded (measured tens
         # of seconds at 600k docs)
         def _node_proj(keep_label: str, cols: list, extra=None):
-            import ray.data as _rd2
-
             def f(b: pa.Table) -> pa.Table:
                 m = pc.equal(b.column("label"), keep_label)
                 if extra is not None:
@@ -1062,10 +1038,7 @@ def _build_cpg(
 
             out = []
             for bb in (
-                _rd2.read_parquet(
-                    os.path.join(parse_path, "row_kind=node"),
-                    columns=["label"] + cols,
-                )
+                read_union_split(parse_path, "node", ["label"] + cols)
                 .map_batches(f, batch_format="pyarrow")
                 .iter_batches(batch_format="pyarrow", batch_size=None)
             ):
@@ -1212,8 +1185,8 @@ def _build_cpg(
                     b.filter(m).select(["full_name", "type_full_name"])
                 )
 
-            td_ds = ray.data.read_parquet(
-                canon_path, columns=["label", "full_name", "type_full_name"]
+            td_ds = read_root(
+                canon_path, ["label", "full_name", "type_full_name"]
             ).map_batches(_td_filter, batch_format="pyarrow")
         else:
             td_ds = ray.data.from_arrow(
@@ -1237,7 +1210,7 @@ def _build_cpg(
 
             return f
 
-        sv_cols = ray.data.read_parquet(svagg_path, columns=["skey", "m_c", "ca_c"])
+        sv_cols = read_root(svagg_path, ["skey", "m_c", "ca_c"])
         dyn_fqn = dyn_table_to_map(
             dyn_candidates_distributed(
                 td_ds,
@@ -1275,9 +1248,7 @@ def _build_cpg(
             want_fqns = sorted(
                 set(
                     x
-                    for bb in ray.data.read_parquet(
-                        svagg_path, columns=["skey", "m_c", "ca_c"]
-                    )
+                    for bb in read_root(svagg_path, ["skey", "m_c", "ca_c"])
                     .map_batches(_want_pick, batch_format="pyarrow")
                     .iter_batches(batch_format="pyarrow", batch_size=None)
                     for x in bb.column("fqn").to_pylist()
@@ -1323,9 +1294,8 @@ def _build_cpg(
                 module_dim: dict[str, str] = {}
                 pairs = sorted(
                     (m_, u_)
-                    for bb in ray.data.read_parquet(
-                        os.path.join(parse_path, "row_kind=node"),
-                        columns=["label", "name", "url"],
+                    for bb in read_union_split(
+                        parse_path, "node", ["label", "name", "url"]
                     )
                     .map_batches(_mod_pick, batch_format="pyarrow")
                     .iter_batches(batch_format="pyarrow", batch_size=None)
@@ -1374,9 +1344,8 @@ def _build_cpg(
                     by_url_name: dict[tuple, list] = {}
                     rows = sorted(
                         (u_, n_, fn_)
-                        for bb in ray.data.read_parquet(
-                            canon_path,
-                            columns=["label", "name", "full_name", "url"],
+                        for bb in read_root(
+                            canon_path, ["label", "name", "full_name", "url"]
                         )
                         .map_batches(_meth_pick, batch_format="pyarrow")
                         .iter_batches(batch_format="pyarrow", batch_size=None)
@@ -1407,9 +1376,7 @@ def _build_cpg(
         _ret_fqns = sorted(
             set(
                 x
-                for bb in ray.data.read_parquet(
-                    svagg_path, columns=["skey", "ca_c"]
-                )
+                for bb in read_root(svagg_path, ["skey", "ca_c"])
                 .map_batches(_ret_pick, batch_format="pyarrow")
                 .iter_batches(batch_format="pyarrow", batch_size=None)
                 for x in bb.column("fqn").to_pylist()
@@ -1444,9 +1411,7 @@ def _build_cpg(
 
             _sig_by = {}
             for bb in (
-                ray.data.read_parquet(
-                    canon_path, columns=["label", "full_name", "signature"]
-                )
+                read_root(canon_path, ["label", "full_name", "signature"])
                 .map_batches(_sig_pick, batch_format="pyarrow")
                 .iter_batches(batch_format="pyarrow", batch_size=None)
             ):
@@ -1477,7 +1442,7 @@ def _build_cpg(
 
                 _known_c: set = set()
                 for bb in (
-                    ray.data.read_parquet(canon_path, columns=["label", "full_name"])
+                    read_root(canon_path, ["label", "full_name"])
                     .map_batches(_known_pick, batch_format="pyarrow")
                     .iter_batches(batch_format="pyarrow", batch_size=None)
                 ):
@@ -1550,9 +1515,7 @@ def _build_cpg(
 
         link_edges = salted_call_link(
             calls_proj(),
-            ray.data.read_parquet(
-                canon_path, columns=["id", "label", "full_name", "signature"]
-            )
+            read_root(canon_path, ["id", "label", "full_name", "signature"])
             if n_mt
             else ray.data.from_arrow(NODES_SCHEMA.empty_table()),
             hot_keys=hot_keys,
@@ -1578,8 +1541,6 @@ def _build_cpg(
     dyn_keys_ref = ray.put(pa.array(sorted(dyn_fqn.keys()), pa.string()))
 
     def _build_dims():
-        import ray.data as _rd
-
         meta_t = rows_to_table(
             [
                 {
@@ -1711,10 +1672,10 @@ def _build_cpg(
                 [_pad(_dims_batch(b), "node"), _pad(_spec_ast(b), "edge")]
             )
 
-        dims_ds = _rd.from_arrow(_pad(meta_t, "node")).union(
-            _rd.read_parquet(
+        dims_ds = ray.data.from_arrow(_pad(meta_t, "node")).union(
+            read_root(
                 svagg_path,
-                columns=["skey", "m_c", "td_c", "ty_c", "ns_c", "ca_c", "th_c", "s_max"],
+                ["skey", "m_c", "td_c", "ty_c", "ns_c", "ca_c", "th_c", "s_max"],
             ).map_batches(_dims_and_spec, batch_format="pyarrow")
         )
         if os.path.isdir(dims_path):

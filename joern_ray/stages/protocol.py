@@ -82,8 +82,8 @@ def apply_passes(out_dir: str, passes: "list[CpgPass]", fingerprint: str):
     is skipped (LayerCreator.run's guard); a stale one (fingerprint
     changed) is rebuilt.  Unmet `depends_on` raises — the reference only
     warns, but silently-missing layers are the #1 extension footgun."""
-    from ..io.checkpoint import checkpoint, manifest_matches
-    from ..pipelines.cpg import _parquet_files, edges_paths, nodes_paths
+    from ..io.checkpoint import _parquet_files, checkpoint, manifest_matches
+    from ..pipelines.cpg import edges_paths, nodes_paths
     from ..query.dsl import Cpg
 
     ov_dir = os.path.join(out_dir, "overlays")

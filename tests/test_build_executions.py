@@ -2,8 +2,10 @@
 the link chain: the thread is joined on every exit path, an error on
 either side fails the build, and a build stays within its budget of
 Ray streaming executions (each one pays a fixed launch cost that
-dominates small builds)."""
+dominates small builds) and sizes every read it makes itself."""
 
+import inspect
+import os
 import threading
 
 import pyarrow as pa
@@ -104,3 +106,31 @@ def test_equivalence_error_fails_the_build(ray_session, tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="equivalence chain failed"):
         build_cpg(_docs_factory, str(tmp_path / "cpg"), "lifecycle-2")
     assert not _equiv_threads()
+
+
+def test_every_build_read_sizes_its_blocks(ray_session, tmp_path, monkeypatch):
+    """Every Parquet read the build makes passes a block count
+    (`io.checkpoint.read_root`): left to Ray, a read splits into at
+    least 2 x available CPUs blocks however small it is, and every map
+    and sort downstream runs a task per block."""
+    import ray.data
+
+    import joern_ray
+    from joern_ray.pipelines.cpg import build_cpg
+
+    pkg = os.path.dirname(joern_ray.__file__) + os.sep
+    calls: list = []
+    orig = ray.data.read_parquet
+
+    def recorded(*a, **k):
+        caller = inspect.currentframe().f_back
+        where = caller.f_code.co_filename
+        if where.startswith(pkg):
+            calls.append((f"{where[len(pkg):]}:{caller.f_lineno}", k))
+        return orig(*a, **k)
+
+    monkeypatch.setattr(ray.data, "read_parquet", recorded)
+    build_cpg(_docs_factory, str(tmp_path / "cpg"), "blocks-1")
+    assert calls
+    unsized = [site for site, k in calls if k.get("override_num_blocks") is None]
+    assert not unsized, unsized

@@ -1,0 +1,92 @@
+"""The read rule (`io.checkpoint.read_root` / `read_blocks`): every read
+of a checkpoint is sized from its bytes on disk, never from the cluster,
+and a split the corpus never produced reads as an empty typed Dataset,
+so a corpus without code still builds a typed graph."""
+
+import json
+import math
+import subprocess
+import sys
+
+import pyarrow as pa
+
+from joern_ray.io.checkpoint import read_blocks, read_root
+
+MIB = 1 << 20
+
+
+def test_read_blocks_rule():
+    import ray.data
+
+    ctx = ray.data.DataContext.get_current()
+    assert read_blocks(0) == 1
+    assert read_blocks(1024) == 1
+    # 10 MiB on disk is ~50 MiB in memory at Ray's 5x Parquet ratio
+    assert read_blocks(10 * MIB) == math.ceil(50 * MIB / ctx.target_min_block_size)
+    # large inputs stop at Ray's read block cap ...
+    assert read_blocks(1 << 30) == ctx.read_op_min_num_blocks
+    # ... until blocks would outgrow the max block size
+    huge = 100 << 30
+    assert read_blocks(huge) == math.ceil(5 * huge / ctx.target_max_block_size)
+
+
+def test_read_blocks_independent_of_cluster(ray_session):
+    """The same counts on this session's 4-CPU cluster and in a process
+    that never started one."""
+    sizes = [0, 300_000, 10 * MIB, 1 << 30]
+    code = (
+        "import json, ray; from joern_ray.io.checkpoint import read_blocks; "
+        f"print(json.dumps([read_blocks(b) for b in {sizes!r}])); "
+        "assert not ray.is_initialized()"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert json.loads(out.stdout.splitlines()[-1]) == [read_blocks(b) for b in sizes]
+
+
+def test_missing_root_reads_typed_empty(ray_session, tmp_path):
+    ds = read_root([str(tmp_path / "absent")], ["id", "label", "skey", "sc"])
+    assert ds.count() == 0
+    assert ds.schema().base_schema == pa.schema(
+        [("id", pa.uint64()), ("label", pa.string()), ("skey", pa.string()), ("sc", pa.int64())]
+    )
+
+
+_PROSE = {
+    f"https://ex/prose{i}.html": f"<html><body><p>Release notes, part {i}. No code.</p></body></html>"
+    for i in range(4)
+}
+
+
+def _prose_docs(columns):
+    import ray.data
+
+    return ray.data.from_arrow(
+        pa.table(
+            {
+                "url": list(_PROSE),
+                "warc_ts": pa.array([0] * len(_PROSE), pa.timestamp("us")),
+                "html": pa.array([h.encode() for h in _PROSE.values()], pa.large_binary()),
+                "text": [""] * len(_PROSE),
+                "lang": ["en"] * len(_PROSE),
+            }
+        )
+    )
+
+
+def test_prose_only_corpus_builds_typed_graph(ray_session, tmp_path):
+    """Four pages without code: the parse checkpoint has no survey,
+    mtnode or edge split, and the build still writes node and edge roots
+    that read back with the declared schemas."""
+    from joern_ray.pipelines.cpg import build_cpg, read_edges, read_nodes
+    from joern_ray.schemas import EDGES_SCHEMA, NODES_SCHEMA
+
+    out = str(tmp_path / "cpg")
+    res = build_cpg(_prose_docs, out, "prose-1")
+    assert res["n_methods"] == 0
+    nodes, edges = read_nodes(out), read_edges(out)
+    assert nodes.schema().base_schema == NODES_SCHEMA
+    assert edges.schema().base_schema == EDGES_SCHEMA
+    assert nodes.count() > 0  # FILE rows and META_DATA
+    assert edges.count() == 0

@@ -1,8 +1,9 @@
 """The exchange-width rule (`io.checkpoint.exchange_width`): every shuffle
 of a build is sized from the parse checkpoint's measured bytes, and every
 table written downstream of parse is coalesced to `ROWS_PER_FILE`.
-Outputs never depend on the width; a tiny build writes one file per
-table; a resume never mixes two widths in the edges root."""
+Outputs never depend on the width or on how many blocks a read makes;
+a tiny build writes one file per table; a resume never mixes two widths
+in the edges root."""
 
 import json
 import os
@@ -16,6 +17,7 @@ from joern_ray.io.checkpoint import ROWS_PER_FILE, exchange_width
 
 OUT_DERIVED = "/tmp/joern_ray_test_width_derived"
 OUT_FORCED = "/tmp/joern_ray_test_width_forced"
+OUT_RAY_BLOCKS = "/tmp/joern_ray_test_width_ray_blocks"
 FP = "width-60"
 
 
@@ -47,6 +49,14 @@ def forced(ray_session):
         return _build(OUT_FORCED)
 
 
+@pytest.fixture(scope="module")
+def ray_blocks(ray_session):
+    """Every read split by Ray's own default (at least 2 x CPUs blocks)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("joern_ray.io.checkpoint.read_blocks", lambda _b: None)
+        return _build(OUT_RAY_BLOCKS)
+
+
 def _manifest(path):
     with open(os.path.join(path, "_manifest.json")) as f:
         return json.load(f)
@@ -76,6 +86,19 @@ def _survey(out):
     return _sorted(pq.read_table(os.path.join(out, "survey_agg")), ["skey"])
 
 
+def _root_rows(out, root):
+    """Every row under one root with the directory it sits in, sorted:
+    the root's content, whatever its file split."""
+    import pyarrow.parquet as pq
+
+    rows = []
+    for dirpath, _d, names in os.walk(os.path.join(out, root)):
+        rel = os.path.relpath(dirpath, out)
+        for f in sorted(n for n in names if n.endswith(".parquet")):
+            rows += [(rel, repr(r)) for r in pq.read_table(os.path.join(dirpath, f)).to_pylist()]
+    return sorted(rows)
+
+
 def _data_files(path):
     return sorted(f for f in os.listdir(path) if f.endswith(".parquet"))
 
@@ -98,6 +121,16 @@ def test_derived_and_forced_width_identical(ray_session, derived, forced):
     assert _nodes(OUT_DERIVED).equals(_nodes(OUT_FORCED))
     assert _edges(OUT_DERIVED).equals(_edges(OUT_FORCED))
     assert _survey(OUT_DERIVED).equals(_survey(OUT_FORCED))
+
+
+def test_read_block_count_does_not_change_outputs(derived, ray_blocks):
+    roots = [
+        "parse", "survey_agg", "canonical_mt", "dims", "edges",
+        "edges_astlink", "edges_inherit", "equivalences",
+    ]
+    for root in roots:
+        assert _root_rows(OUT_DERIVED, root) == _root_rows(OUT_RAY_BLOCKS, root), root
+    assert _root_rows(OUT_DERIVED, "edges")
 
 
 def test_tiny_build_one_file_per_table(derived):
