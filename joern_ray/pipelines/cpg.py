@@ -46,11 +46,22 @@ bytes the same way: every checkpoint the build reads back goes through
 on disk, not from Ray's `2 x available CPUs` floor (which split a
 400-row table into 8 blocks, and every map and sort after it into 8
 tasks).  A split the corpus never produced reads as an empty typed
-Dataset.
+Dataset, so a corpus without code, or without any doc, still builds a
+typed graph.
+
+A cold build, the first in a fresh Ray session, needs three processes
+that each load ray.data (~0.8 s) before doing anything: the worker that
+runs the caller's docs-read task, Ray Data's stats actor and a second
+task worker.  Left to Ray, they load one after another, each when the
+build first needs it.  So `build_cpg` starts the stats actor (an empty,
+never-executed Dataset built on a thread) and the second worker (one
+fire-and-forget warm-up task) before it calls `docs_factory`, and all
+three load together.
 """
 
 from __future__ import annotations
 
+import logging
 import os
 
 import numpy as np
@@ -80,7 +91,9 @@ from ..stages.link import (
     stub_id,
     type_id,
 )
-from ..stages.parse import parse_fragments_batch
+from ..stages.parse import UNION_SCHEMA, parse_fragments_batch
+
+logger = logging.getLogger(__name__)
 
 _KEEP = {
     "node": list(NODES_SCHEMA.names),
@@ -97,17 +110,11 @@ def edges_paths(out_dir: str) -> list[str]:
     by part at parse — never re-shuffled) + the linker-derived edges
     (partition-written after linking).  Returns the concrete parquet file
     list (read_parquet accepts files, not directory lists)."""
-    dims = os.path.join(out_dir, "dims")
-    spec = (
-        os.path.join(dims, "rk=edge")
-        if os.path.isdir(os.path.join(dims, "rk=edge"))
-        else os.path.join(out_dir, "edges_spec")  # pre-round-4 layout
-    )
     return _parquet_files(
         [
             os.path.join(out_dir, "edges"),
             os.path.join(out_dir, "parse", "row_kind=edge"),
-            spec,
+            os.path.join(out_dir, "dims", "rk=edge"),
             os.path.join(out_dir, "edges_astlink"),  # cross-fragment AstLinkerPass
             os.path.join(out_dir, "edges_inherit"),  # XInheritanceFullNamePass
         ]
@@ -122,14 +129,11 @@ def nodes_paths(out_dir: str) -> list[str]:
     co-locate it is the single largest avoidable write (observed
     superlinear at 600k docs); the checkpoints are already deterministic,
     manifested and resumable, so they ARE the output."""
-    dims = os.path.join(out_dir, "dims")
-    if os.path.isdir(os.path.join(dims, "rk=node")):
-        dims = os.path.join(dims, "rk=node")  # round-4 fused layout
     return _parquet_files(
         [
             os.path.join(out_dir, "parse", "row_kind=node"),
             os.path.join(out_dir, "canonical_mt"),
-            dims,
+            os.path.join(out_dir, "dims", "rk=node"),
         ]
     )
 
@@ -289,6 +293,29 @@ def canonical_projections(
     return {k: rows.filter(pc.equal(tag, k)).select(c) for k, c in _PROJ_COLS.items()}
 
 
+# what a build's tasks import on a worker: Ray Data and the modules
+# holding the build's UDFs
+_WARM_MODULES = (
+    "ray.data",
+    "joern_ray.pipelines.cpg",
+    "joern_ray.stages.parse",
+    "joern_ray.stages.dedup",
+)
+
+
+def _warm_worker(modules: tuple) -> None:
+    """Plain-task body that imports `modules`, so the worker running it
+    is warm before the build's tasks need it.  Nothing waits on it, so
+    it raises nothing: a failed import only costs the time it saves."""
+    import importlib
+
+    for m in modules:
+        try:
+            importlib.import_module(m)
+        except Exception:  # noqa: BLE001 -- a warm-up only saves time
+            logger.debug("worker warm-up: cannot import %s", m, exc_info=True)
+
+
 # fragments per parse task batch
 PARSE_BATCH_SIZE = 128
 # canonical METHOD count up to which calls link against a broadcast
@@ -343,6 +370,42 @@ def _build_cpg(
     import ray
     import ray.data
 
+    # settle a lazy-import RACE before any concurrent Dataset
+    # construction: Ray's path resolution probes
+    # `fsspec.implementations.http` on every dataset construction;
+    # without aiohttp installed the import always fails and is
+    # retried — two driver threads importing it concurrently can observe
+    # a partially-initialized module ("cannot import name
+    # HTTPFileSystem") and crash.  Register a stub module once so the
+    # probe import succeeds; Ray only touches the name after an
+    # isinstance(PyFileSystem) gate that local paths never pass.
+    try:
+        import fsspec.implementations.http  # noqa: F401
+    except Exception:  # noqa: BLE001
+        import types as _types
+
+        _stub = _types.ModuleType("fsspec.implementations.http")
+        _stub.HTTPFileSystem = type("HTTPFileSystem", (), {})
+        sys.modules["fsspec.implementations.http"] = _stub
+
+    # ---- cold starts, overlapped (module docstring) -------------------
+    # The empty Dataset that creates the stats actor is never executed,
+    # so no third streaming executor starts.  ONE warm-up task: the
+    # build runs at most two chains at once and the docs read warms the
+    # first worker; more would start worker processes the build does
+    # not use.
+    ray.remote(_warm_worker).options(max_retries=0).remote(_WARM_MODULES)
+
+    def _stats_actor():
+        try:
+            ray.data.from_items([])
+        except Exception:  # noqa: BLE001 -- a warm-up only saves time
+            logger.debug("stats-actor warm-up failed", exc_info=True)
+
+    t_warm = threading.Thread(target=_stats_actor, name="cpg-warmup")
+    t_warm.start()
+    threads.append(t_warm)
+
     os.makedirs(out_dir, exist_ok=True)
     # fold the parser-code fingerprint into the lineage fingerprint: any
     # parse-output-affecting code change invalidates checkpoints without
@@ -386,12 +449,15 @@ def _build_cpg(
     # partition the checkpoint by row_kind ONLY: an output-partition key
     # here would explode into blocks × kinds × parts tiny files.  It is
     # written as it streams: this checkpoint IS the width's measured input.
+    # A corpus of 0 docs writes no split; every split then reads as an
+    # empty typed Dataset, and the build writes a graph of META_DATA.
     checkpoint(
         parse_pipeline,
         parse_path,
         "parse",
         fingerprint,
         partition_cols=["row_kind"],
+        schema=UNION_SCHEMA,
     )
     # per-stage metrics: reject counts are free from the reject dir's
     # Parquet footers (the north rule's lineage + metrics; reference
@@ -429,11 +495,7 @@ def _build_cpg(
             "nodes_path": nodes_paths(out_dir),
             "edges_path": edges_paths(out_dir),
             "edges_linked_path": edges_path,
-            "dims_path": (
-                os.path.join(dims_path, "rk=node")
-                if os.path.isdir(os.path.join(dims_path, "rk=node"))
-                else dims_path
-            ),
+            "dims_path": os.path.join(dims_path, "rk=node"),
             "parse_path": parse_path,
             "resumed": resumed,
         }
@@ -463,23 +525,6 @@ def _build_cpg(
     ]
     nodes_for_link = lambda: read_union_split(parse_path, "node", _LINK_COLS)  # noqa: E731
     mt_ds = lambda: read_union_split(parse_path, "mtnode")  # noqa: E731
-
-    # settle a lazy-import RACE before the concurrent executions: Ray's
-    # path resolution probes `fsspec.implementations.http` on every
-    # dataset construction; the container has no aiohttp, so the import
-    # always fails and is retried — two driver threads importing it
-    # concurrently can observe a partially-initialized module ("cannot
-    # import name HTTPFileSystem") and crash.  Register a stub module
-    # once so the probe import succeeds; Ray only touches the name after
-    # an isinstance(PyFileSystem) gate that local paths never pass.
-    try:
-        import fsspec.implementations.http  # noqa: F401
-    except Exception:  # noqa: BLE001
-        import types as _types
-
-        _stub = _types.ModuleType("fsspec.implementations.http")
-        _stub.HTTPFileSystem = type("HTTPFileSystem", (), {})
-        sys.modules["fsspec.implementations.http"] = _stub
 
     # ---- stage: entity equivalence (MinHash collapse; north star:
     # "min-hash dedup collapses equivalent entities") -------------------
@@ -775,7 +820,7 @@ def _build_cpg(
     # bucketed join (both sides O(duplicated-class occurrences)); only
     # the per-distinct-name canonical-id map is broadcast.  Own small
     # edges root — unioning into the main link scan would break its
-    # streaming fusion (measured 2x, see edges_spec note below).
+    # streaming fusion (measured 2x, see the `_spec_ast` note below).
     astlink_path = os.path.join(out_dir, "edges_astlink")
     if os.path.isdir(astlink_path):
         shutil.rmtree(astlink_path)
@@ -1672,12 +1717,16 @@ def _build_cpg(
                 [_pad(_dims_batch(b), "node"), _pad(_spec_ast(b), "edge")]
             )
 
-        dims_ds = ray.data.from_arrow(_pad(meta_t, "node")).union(
-            read_root(
-                svagg_path,
-                ["skey", "m_c", "td_c", "ty_c", "ns_c", "ca_c", "th_c", "s_max"],
-            ).map_batches(_dims_and_spec, batch_format="pyarrow")
-        )
+        dims_ds = ray.data.from_arrow(_pad(meta_t, "node"))
+        # an empty survey derives no row, and its map's schema-less empty
+        # block would not match the META_DATA block's schema in the union
+        if read_manifest(svagg_path)["rows"]:
+            dims_ds = dims_ds.union(
+                read_root(
+                    svagg_path,
+                    ["skey", "m_c", "td_c", "ty_c", "ns_c", "ca_c", "th_c", "s_max"],
+                ).map_batches(_dims_and_spec, batch_format="pyarrow")
+            )
         if os.path.isdir(dims_path):
             shutil.rmtree(dims_path)
         dims_ds.write_parquet(
@@ -1713,7 +1762,7 @@ def _build_cpg(
 
     # AST edges from <speculatedMethods> to hint-only stubs (reference
     # `XTypeHintCallLinker.scala:166-183`) — a tiny map over the
-    # aggregated survey written to its OWN edges root (edges_spec).
+    # aggregated survey written beside the dims (dims/rk=edge).
     # NEVER union this into the main edge stream: a Dataset.union —
     # even with an empty side — breaks streaming fusion of the link
     # scan (measured 74s -> 137s materialize at 8 CPUs).

@@ -1,8 +1,9 @@
 """`build_cpg` runs the MinHash equivalence chain on its own thread beside
-the link chain: the thread is joined on every exit path, an error on
-either side fails the build, and a build stays within its budget of
-Ray streaming executions (each one pays a fixed launch cost that
-dominates small builds) and sizes every read it makes itself."""
+the link chain, and warms Ray Data's stats actor on another: both
+threads are joined on every exit path, an error on either chain fails
+the build while a failed warm-up does not, and a build stays within its
+budget of Ray streaming executions (each one pays a fixed launch cost
+that dominates small builds) and sizes every read it makes itself."""
 
 import inspect
 import os
@@ -45,11 +46,15 @@ def _docs_factory(columns):
     )
 
 
-def _equiv_threads() -> list:
-    return [t for t in threading.enumerate() if t.name == "cpg-equivalences"]
+def _build_threads() -> list:
+    return [
+        t for t in threading.enumerate() if t.name in ("cpg-equivalences", "cpg-warmup")
+    ]
 
 
-def test_build_stays_within_execution_budget(ray_session, tmp_path, monkeypatch):
+def test_build_stays_within_execution_budget(
+    ray_session, tmp_path, monkeypatch, schema_mismatch_log
+):
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
     from joern_ray.pipelines.cpg import build_cpg
@@ -65,6 +70,7 @@ def test_build_stays_within_execution_budget(ray_session, tmp_path, monkeypatch)
     res = build_cpg(_docs_factory, str(tmp_path / "cpg"), "budget-1")
     assert res["n_collapsed_methods"] >= 1
     assert len(calls) <= EXECUTION_BUDGET, f"{len(calls)} executions: {calls}"
+    assert not schema_mismatch_log
 
 
 def test_main_chain_error_joins_equivalence_thread(ray_session, tmp_path, monkeypatch):
@@ -92,7 +98,7 @@ def test_main_chain_error_joins_equivalence_thread(ray_session, tmp_path, monkey
     with pytest.raises(RuntimeError, match="main chain failed"):
         cpg.build_cpg(_docs_factory, str(tmp_path / "cpg"), "lifecycle-1")
     assert finished.is_set()
-    assert not _equiv_threads()
+    assert not _build_threads()
 
 
 def test_equivalence_error_fails_the_build(ray_session, tmp_path, monkeypatch):
@@ -105,7 +111,37 @@ def test_equivalence_error_fails_the_build(ray_session, tmp_path, monkeypatch):
     monkeypatch.setattr(dedup, "minhash_dedup", broken_minhash)
     with pytest.raises(RuntimeError, match="equivalence chain failed"):
         build_cpg(_docs_factory, str(tmp_path / "cpg"), "lifecycle-2")
-    assert not _equiv_threads()
+    assert not _build_threads()
+
+
+def test_failed_warm_up_does_not_fail_the_build(ray_session, tmp_path, monkeypatch):
+    """The stats-actor warm-up raises late in the build, and the worker
+    warm-up cannot import a module: the build still succeeds, and no
+    warm-up thread outlives it."""
+    import ray.data
+
+    import joern_ray.pipelines.cpg as cpg
+
+    late, raised = threading.Event(), threading.Event()
+    real_write = cpg.partitioned_write
+
+    def marked_write(*a, **k):
+        late.set()
+        return real_write(*a, **k)
+
+    def broken_from_items(*a, **k):
+        late.wait(120)  # still running when the edge write starts
+        raised.set()
+        raise RuntimeError("warm-up failed")
+
+    monkeypatch.setattr(cpg, "partitioned_write", marked_write)
+    monkeypatch.setattr(ray.data, "from_items", broken_from_items)
+    monkeypatch.setattr(cpg, "_WARM_MODULES", ("joern_ray.no_such_module",))
+    res = cpg.build_cpg(_docs_factory, str(tmp_path / "cpg"), "warmup-1")
+    assert res["n_collapsed_methods"] >= 1
+    assert raised.is_set()
+    assert not _build_threads()
+    assert cpg._warm_worker(("joern_ray.no_such_module",)) is None
 
 
 def test_every_build_read_sizes_its_blocks(ray_session, tmp_path, monkeypatch):

@@ -59,34 +59,57 @@ _PROSE = {
 }
 
 
-def _prose_docs(columns):
-    import ray.data
+def _docs(pages: dict):
+    """A `docs_factory` over `pages` (url -> html)."""
 
-    return ray.data.from_arrow(
-        pa.table(
-            {
-                "url": list(_PROSE),
-                "warc_ts": pa.array([0] * len(_PROSE), pa.timestamp("us")),
-                "html": pa.array([h.encode() for h in _PROSE.values()], pa.large_binary()),
-                "text": [""] * len(_PROSE),
-                "lang": ["en"] * len(_PROSE),
-            }
+    def factory(columns):
+        import ray.data
+
+        return ray.data.from_arrow(
+            pa.table(
+                {
+                    "url": pa.array(list(pages), pa.string()),
+                    "warc_ts": pa.array([0] * len(pages), pa.timestamp("us")),
+                    "html": pa.array([h.encode() for h in pages.values()], pa.large_binary()),
+                    "text": pa.array([""] * len(pages), pa.string()),
+                    "lang": pa.array(["en"] * len(pages), pa.string()),
+                }
+            )
         )
-    )
+
+    return factory
 
 
-def test_prose_only_corpus_builds_typed_graph(ray_session, tmp_path):
+def test_prose_only_corpus_builds_typed_graph(ray_session, tmp_path, schema_mismatch_log):
     """Four pages without code: the parse checkpoint has no survey,
     mtnode or edge split, and the build still writes node and edge roots
-    that read back with the declared schemas."""
+    that read back with the declared schemas.  The empty survey adds no
+    block to the dims write, so Ray Data logs no schema mismatch."""
     from joern_ray.pipelines.cpg import build_cpg, read_edges, read_nodes
     from joern_ray.schemas import EDGES_SCHEMA, NODES_SCHEMA
 
     out = str(tmp_path / "cpg")
-    res = build_cpg(_prose_docs, out, "prose-1")
+    res = build_cpg(_docs(_PROSE), out, "prose-1")
     assert res["n_methods"] == 0
+    assert not schema_mismatch_log
     nodes, edges = read_nodes(out), read_edges(out)
     assert nodes.schema().base_schema == NODES_SCHEMA
     assert edges.schema().base_schema == EDGES_SCHEMA
     assert nodes.count() > 0  # FILE rows and META_DATA
+    assert edges.count() == 0
+
+
+def test_empty_corpus_builds_meta_data_graph(ray_session, tmp_path):
+    """No doc at all: the parse checkpoint has no split, and the graph is
+    the META_DATA node alone, with no edge."""
+    from joern_ray.pipelines.cpg import build_cpg, read_edges, read_nodes
+    from joern_ray.schemas import EDGES_SCHEMA, NODES_SCHEMA
+
+    out = str(tmp_path / "cpg")
+    res = build_cpg(_docs({}), out, "empty-1")
+    assert res["n_methods"] == 0 and res["n_stubs"] == 0
+    nodes, edges = read_nodes(out), read_edges(out)
+    assert nodes.schema().base_schema == NODES_SCHEMA
+    assert [r["label"] for r in nodes.take_all()] == ["META_DATA"]
+    assert edges.schema().base_schema == EDGES_SCHEMA
     assert edges.count() == 0

@@ -1,5 +1,8 @@
-"""`build_cpg` completes on a 2-CPU cluster: the parse stage runs as plain
-tasks, so no actor pool pins the CPUs its read and write tasks need."""
+"""`build_cpg` in a fresh Ray session of its own: it completes on a
+2-CPU cluster, because the parse stage runs as plain tasks and no actor
+pool pins the CPUs its read and write tasks need; and it starts Ray
+Data's stats actor before it calls `docs_factory`, so that cold start
+overlaps the docs read's instead of following it."""
 
 import os
 import shutil
@@ -11,7 +14,7 @@ import textwrap
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-SCRIPT = textwrap.dedent(
+SESSION = textwrap.dedent(
     """
     import sys
 
@@ -26,20 +29,51 @@ SCRIPT = textwrap.dedent(
     )
     from joern_ray.pipelines.cpg import build_cpg
     from joern_ray.sources.corpus import docs_dataset
+    """
+)
 
+BUILD = SESSION + textwrap.dedent(
+    """
     res = build_cpg(lambda columns: docs_dataset(24, parallelism=2), sys.argv[1], "twocpu-24")
     print("BUILT", res["resumed"], flush=True)
     ray.shutdown()
     """
 )
 
+# the docs factory looks for the stats actor before it builds any Dataset
+STATS_ACTOR_FIRST = SESSION + textwrap.dedent(
+    """
+    import time
 
-def test_build_on_two_cpus():
+    from ray.data._internal.stats import STATS_ACTOR_NAME
+
+    def docs(columns):
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            if any(
+                a["name"] == STATS_ACTOR_NAME
+                for a in ray.util.list_named_actors(all_namespaces=True)
+            ):
+                print("STATS ACTOR BEFORE DOCS", flush=True)
+                break
+            time.sleep(0.05)
+        return docs_dataset(8, parallelism=2)
+
+    res = build_cpg(docs, sys.argv[1], "stats-actor-8")
+    print("BUILT", res["resumed"], flush=True)
+    ray.shutdown()
+    """
+)
+
+
+def _run(script: str) -> str:
+    """Run `script` in a fresh interpreter with its own Ray session;
+    returns its output after checking it exited 0 and built."""
     tmp = tempfile.mkdtemp(prefix="jr2c", dir="/tmp")  # short: unix socket paths
     env = dict(os.environ, PYTHONPATH=ROOT)
     env.pop("RAY_ADDRESS", None)
     proc = subprocess.Popen(
-        [sys.executable, "-c", SCRIPT, os.path.join(tmp, "out"), os.path.join(tmp, "r")],
+        [sys.executable, "-c", script, os.path.join(tmp, "out"), os.path.join(tmp, "r")],
         cwd=ROOT,
         env=env,
         stdout=subprocess.PIPE,
@@ -60,3 +94,13 @@ def test_build_on_two_cpus():
             pass
         shutil.rmtree(tmp, ignore_errors=True)
     assert proc.returncode == 0 and "BUILT False" in out, out[-3000:]
+    return out
+
+
+def test_build_on_two_cpus():
+    _run(BUILD)
+
+
+def test_stats_actor_starts_before_docs_read():
+    out = _run(STATS_ACTOR_FIRST)
+    assert "STATS ACTOR BEFORE DOCS" in out, out[-3000:]
