@@ -8,10 +8,14 @@ is skipped and its Parquet output is read back instead of recomputed.
 Each checkpoint directory holds the stage's Parquet files plus
 `_manifest.json` recording: stage name, input fingerprint, engine
 version, row count (from Parquet footers — no data scan), bytes on
-disk, file list and wall time.  Final graph materialization additionally
-partitions by `part = subj % P` with one manifest per partition so a
-killed run skips finished partitions (north rule: per-partition lineage
-+ metrics); those manifests record the width P they were written at.
+disk, file list and wall time.  A checkpoint that holds several kinds
+of row (the parse checkpoint's node/edge/reject/survey rows, the dims'
+node and edge rows) is written through `SplitSink`: one subdirectory per
+kind, each file carrying only that kind's declared columns.  Final graph
+materialization partitions by `part = subj % P` with one manifest per
+partition so a killed run skips finished partitions (north rule:
+per-partition lineage + metrics); those manifests record the width P
+they were written at.
 
 `exchange_width` sizes every shuffle of a build from the parse
 checkpoint's measured bytes instead of fixed widths, `read_root` sizes
@@ -25,6 +29,8 @@ import json
 import math
 import os
 import time
+
+from ray.data import Datasink
 
 ENGINE_VERSION = "0.7.0"  # bumped: <ret:> containment, kotlin body MEMBERs, php tag fix, ast_link
 
@@ -133,14 +139,71 @@ def write_manifest(
     return m
 
 
+class SplitSink(Datasink):
+    """Writes a Dataset whose rows are of several kinds, told apart by
+    the value of `column`, as one subdirectory `{column}={value}` per
+    kind, each file holding only `schemas[value]`'s columns.  A Ray
+    Data operator has one output, so the kinds travel as one union
+    table; written whole, every file would carry every other kind's
+    columns as all-null columns, each with its own metadata in every
+    row group and in the footer.
+
+    Each write task writes, per kind it holds rows of, ONE file of ONE
+    row group, named by the task's index and renamed into place from a
+    temporary name, so a retried task replaces its own files.  A row
+    whose kind has no schema fails the write.  `min_rows_per_write`
+    coalesces the input of each write task (None: a write task takes
+    what the upstream task produced, so the write fuses into it)."""
+
+    def __init__(
+        self, path: str, column: str, schemas: dict, min_rows_per_write: int | None = None
+    ):
+        self.path, self.column, self.schemas = path, column, schemas
+        self._min_rows_per_write = min_rows_per_write
+
+    @property
+    def min_rows_per_write(self) -> int | None:
+        return self._min_rows_per_write
+
+    def on_write_start(self) -> None:
+        # the root exists even when no task writes a file (0 rows)
+        os.makedirs(self.path, exist_ok=True)
+
+    def write(self, blocks, ctx) -> None:
+        import pyarrow as pa
+        import pyarrow.compute as pc
+        import pyarrow.parquet as pq
+        from ray.data.block import BlockAccessor
+
+        tables = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
+        tables = [t for t in tables if t.num_rows]
+        if not tables:
+            return
+        t = pa.concat_tables(tables)
+        kinds = t.column(self.column)
+        unknown = set(pc.unique(kinds).to_pylist()) - set(self.schemas)
+        if unknown:
+            raise ValueError(f"{self.path}: no schema for {self.column} {sorted(unknown)}")
+        for value, schema in self.schemas.items():
+            part = t.select(schema.names).filter(pc.equal(kinds, value))
+            if not part.num_rows:
+                continue
+            part = part.cast(schema)
+            d = os.path.join(self.path, f"{self.column}={value}")
+            os.makedirs(d, exist_ok=True)
+            fp = os.path.join(d, f"{ctx.task_idx:06d}.parquet")
+            pq.write_table(part, fp + ".tmp", row_group_size=part.num_rows)
+            os.replace(fp + ".tmp", fp)
+
+
 def checkpoint(
     ds_factory,
     path: str,
     stage: str,
     fingerprint: str,
-    partition_cols=None,
     min_rows_per_file: int | None = None,
     schema=None,
+    splits: tuple[str, dict] | None = None,
 ):
     """Run `ds_factory()` and write its Dataset to `path` unless a valid
     manifest already covers it.
@@ -150,14 +213,17 @@ def checkpoint(
     re-executing lineage — the fix for Ray Data re-running upstream
     stages once per consumer.  Nothing is read back here: constructing a
     `read_parquet` Dataset lists the files and runs metadata-sampling
-    tasks, and most callers read a column subset or one partition.
-    `partition_cols` hive-partitions the checkpoint (e.g. by row_kind) so
-    consumers of one kind scan only that kind's files.
+    tasks, and most callers read a column subset or one split.
     `min_rows_per_file` (normally `ROWS_PER_FILE`) coalesces the output:
     a table Ray split into many blocks is otherwise written as many tiny
     files.  `schema`, when the output's is known, types a 0-row output
     without asking Ray, which runs the lineage again to answer and has
     no schema to give after an exchange of empty blocks.
+    `splits` = `(column, {value: schema})` writes the output through
+    `SplitSink` instead, one typed subdirectory per value of `column`,
+    so consumers of one kind scan only that kind's files; a 0-row output
+    leaves the root empty, and each absent split reads as an empty
+    Dataset of its own schema (`read_root`).
     """
     import shutil as _shutil
 
@@ -166,11 +232,10 @@ def checkpoint(
         if os.path.isdir(path):  # stale/partial output: clear it
             _shutil.rmtree(path)
         ds = ds_factory()
-        ds.write_parquet(
-            path,
-            partition_cols=partition_cols,
-            min_rows_per_file=min_rows_per_file,
-        )
+        if splits is not None:
+            ds.write_datasink(SplitSink(path, *splits, min_rows_per_write=min_rows_per_file))
+        else:
+            ds.write_parquet(path, min_rows_per_file=min_rows_per_file)
         if not os.path.isdir(path):
             # a 0-row Dataset writes no files at all; materialize an
             # empty parquet carrying the schema so read-back and the
@@ -195,8 +260,8 @@ _TARGET_BYTES = 64 << 20
 # ~250 B (parse union rows 146-247 B per row kind, which every downstream
 # table projects: canonical_mt 184, dims 150, equivalences 16), so a
 # write task buffers at most ~64 MiB.  Compressed bytes on disk would not
-# do: the mostly-null parse union stores ~10 B per row, which let a write
-# task buffer ~20x the target.
+# do: the parse checkpoint stores ~10 B per row, which let a write task
+# buffer ~20x the target.
 ROWS_PER_FILE = _TARGET_BYTES // 256
 
 
@@ -241,24 +306,28 @@ def read_blocks(nbytes: int) -> int:
     return max(1, n)
 
 
-def read_root(paths: str | list[str], columns: list[str]):
+def root_blocks(paths: list[str]) -> int:
+    """`read_blocks` of the Parquet files under the root directories
+    `paths`: the block count `read_root` reads them in."""
+    return read_blocks(sum(os.path.getsize(f) for f in _parquet_files(paths)))
+
+
+def read_root(paths: str | list[str], columns: list[str], schema=None):
     """Read the `columns` of one or more checkpoint root directories in
     `read_blocks(bytes on disk)` blocks.  Roots that do not exist are
     skipped (a corpus without code writes no `survey` or `mtnode` split);
     when no Parquet file is left the result is an empty Dataset typed by
-    the parse checkpoint's union schema, which carries every column a
-    build reads from a split that may be absent."""
+    `schema`, the root's declared schema, and without one the read
+    fails."""
     import pyarrow as pa
     import ray.data
 
     roots = [p for p in ([paths] if isinstance(paths, str) else paths) if os.path.exists(p)]
     files = _parquet_files(roots)
     if not files:
-        from ..stages.parse import UNION_SCHEMA
-
-        return ray.data.from_arrow(
-            pa.schema([UNION_SCHEMA.field(c) for c in columns]).empty_table()
-        )
+        if schema is None:
+            raise FileNotFoundError(f"no Parquet file under {paths}")
+        return ray.data.from_arrow(pa.schema([schema.field(c) for c in columns]).empty_table())
     return ray.data.read_parquet(
         roots if len(roots) > 1 else roots[0],
         columns=columns,
@@ -270,12 +339,17 @@ def read_root(paths: str | list[str], columns: list[str]):
 _EDGE_COLS = ("subj", "pred", "obj", "variable")
 
 
-def partitioned_write(ds, path: str, stage: str, fingerprint: str, num_partitions: int):
+def partitioned_write(
+    ds, path: str, stage: str, fingerprint: str, num_partitions: int, in_blocks: int
+):
     """Final edge materialization: `part = subj % P` → groupby("part") →
     one Parquet file, sorted by (subj, pred, obj, variable), + manifest
     per partition.  P is the build's `exchange_width`.  The layout is
     fixed, never probed with `ds.schema()`, which would launch an extra
-    execution of the lazy upstream.
+    execution of the lazy upstream.  `in_blocks` is the block count of
+    `ds`'s reads (`root_blocks`): the sort's cost scales with block
+    COUNT, not bytes (observed 35s over 708 tiny blocks vs 2s over 160),
+    so an input split finer than 2 x P blocks is coalesced to P first.
 
     Why not `write_parquet(partition_cols=...)`: that writes one file per
     (input block × partition) — observed 22k tiny files for 128 MB.  The
@@ -360,16 +434,11 @@ def partitioned_write(ds, path: str, stage: str, fingerprint: str, num_partition
         os.replace(fp + ".tmp", fp)
         return pa.table({"part": pa.array([part], pa.int32()), "rows": pa.array([batch.num_rows], pa.int64())})
 
-    # materialize before the shuffle: Ray's sort-based groupby runs a
-    # boundary-sampling pass first, which would re-execute the (expensive)
-    # upstream lineage a second time; materialized blocks live in the
-    # object store and spill under pressure.  Then coalesce: the sort's
-    # cost scales with block COUNT, not bytes (observed 35s over 708 tiny
-    # blocks vs 2s over 160).  The link scan reads through `read_root`,
-    # so its blocks are already sized from bytes on disk; this bounds
-    # any input split finer than the width.
-    tagged = ds.map_batches(add_part, batch_format="pyarrow").materialize()
-    if tagged.num_blocks() > 2 * num_partitions:
+    # the groupby's sort samples its input's block boundaries without
+    # running the upstream map a second time (tests/test_build_executions.py
+    # pins this), so the whole write is one execution
+    tagged = ds.map_batches(add_part, batch_format="pyarrow")
+    if in_blocks > 2 * num_partitions:
         tagged = tagged.repartition(num_partitions)
     written = tagged.groupby("part").map_groups(write_group, batch_format="pyarrow")
     parts_written: dict[int, int] = {}

@@ -7,7 +7,9 @@ Ray-Data stage chain with Parquet checkpoints between the macro-stages:
   stage "parse"   docs → detect_fragments → parse_fragments_batch (plain
                   tasks over a per-process ParseFragments memo, fused
                   per-method CFG/DDG overlays + FILE nodes from doc
-                  passthrough rows) → tagged-union checkpoint.
+                  passthrough rows) → checkpoint split by row kind
+                  (node, mtnode, edge, reject, survey), each split
+                  written with only its own columns (`SplitSink`).
                   Pure map chain — streams, no shuffle.
   stage "survey"  ONE pass over the node stream emitting tagged partial
                   distincts/counts (dup FQNs, type fqns, namespace
@@ -22,12 +24,12 @@ Ray-Data stage chain with Parquet checkpoints between the macro-stages:
                   manifests (resume = skip finished partitions).
 
 Ray streaming executions per build, measured with cpgbench on its
-`build_boilerplate` corpus (14; 13 on `build_mixed`, which has no
+`build_boilerplate` corpus (13; 12 on `build_mixed`, which has no
 duplicated class):
   main chain  parse, survey-agg, canonicalize, ONE canonical_mt
               projection pass, astlink (only when class names collide),
-              fused dims+spec write, and the linked-edge write's two
-              (materialize + partitioned write);
+              fused dims+spec write, and the linked-edge partitioned
+              write;
   beside it   from parse on, the equivalence chain's six (content hash,
               exact-dup aggregate, band signatures, bucket minimum,
               collapse-map collect, sorted write).
@@ -72,12 +74,14 @@ from ..functions.hashing import hash64
 from ..io.checkpoint import ENGINE_VERSION as _ENGINE_VERSION
 from ..io.checkpoint import (
     ROWS_PER_FILE,
+    SplitSink,
     _parquet_files,
     checkpoint,
     exchange_width,
     manifest_matches,
     partitioned_write,
     read_root,
+    root_blocks,
     write_manifest,
 )
 from ..schemas import EDGES_SCHEMA, NODES_SCHEMA, REJECTS_SCHEMA, rows_to_table
@@ -95,12 +99,17 @@ from ..stages.parse import UNION_SCHEMA, parse_fragments_batch
 
 logger = logging.getLogger(__name__)
 
-_KEEP = {
-    "node": list(NODES_SCHEMA.names),
-    "mtnode": list(NODES_SCHEMA.names),
-    "edge": list(EDGES_SCHEMA.names),
-    "reject": list(REJECTS_SCHEMA.names),
-    "survey": ["skind", "skey", "sc", "sn", "sx"],
+# the parse checkpoint's splits, one per row_kind, each the union's
+# fields that kind fills
+PARSE_SPLITS = {
+    kind: pa.schema([UNION_SCHEMA.field(c) for c in cols])
+    for kind, cols in {
+        "node": NODES_SCHEMA.names,
+        "mtnode": NODES_SCHEMA.names,
+        "edge": EDGES_SCHEMA.names,
+        "reject": REJECTS_SCHEMA.names,
+        "survey": ["skind", "skey", "sc", "sn", "sx"],
+    }.items()
 }
 
 
@@ -159,11 +168,15 @@ def read_edges(out_dir: str, columns: list[str] | None = None):
 
 
 def read_union_split(path: str, kind: str, columns: list[str] | None = None):
-    """Read one row_kind from a union checkpoint.  The checkpoint is
-    hive-partitioned by row_kind, so this scans ONLY that kind's files
-    and decodes only its columns (`columns`, default all of the kind's);
-    a kind the corpus never produced reads as an empty typed Dataset."""
-    return read_root(os.path.join(path, f"row_kind={kind}"), columns or _KEEP[kind])
+    """Read one row_kind of the parse checkpoint.  Each kind is its own
+    directory of files typed `PARSE_SPLITS[kind]`, so this scans ONLY
+    that kind's files and decodes only `columns` (default all of the
+    kind's); a kind the corpus never produced reads as an empty Dataset
+    of its schema."""
+    schema = PARSE_SPLITS[kind]
+    return read_root(
+        os.path.join(path, f"row_kind={kind}"), columns or schema.names, schema
+    )
 
 
 # Per-worker memo for broadcast key sets: plain TASKS (no pinned actor
@@ -316,7 +329,11 @@ def _warm_worker(modules: tuple) -> None:
             logger.debug("worker warm-up: cannot import %s", m, exc_info=True)
 
 
-# fragments per parse task batch
+# rows per batch of the parse `map_batches`.  Detect (and the compdb
+# filter) fuse into the parse operator, whose input is the docs read, so
+# Ray bundles at least this many DOCS into each parse task: both
+# cpgbench corpora (80 docs) parse in one task.  Smaller parse tasks
+# were measured slower (BASELINE.md, "Typed splits")
 PARSE_BATCH_SIZE = 128
 # canonical METHOD count up to which calls link against a broadcast
 # fqn->id index; past it the salted shuffle join takes over
@@ -446,18 +463,18 @@ def _build_cpg(
             parse_fragments_batch, batch_size=PARSE_BATCH_SIZE, batch_format="pyarrow"
         )
 
-    # partition the checkpoint by row_kind ONLY: an output-partition key
-    # here would explode into blocks × kinds × parts tiny files.  It is
-    # written as it streams: this checkpoint IS the width's measured input.
-    # A corpus of 0 docs writes no split; every split then reads as an
-    # empty typed Dataset, and the build writes a graph of META_DATA.
+    # split the checkpoint by row_kind ONLY: an output-partition key
+    # here would explode into blocks × kinds × parts tiny files.  The
+    # split write fuses into each parse task (no `min_rows_per_file`), so
+    # it is written as it streams: this checkpoint IS the width's measured
+    # input.  A corpus of 0 docs writes no split; every split then reads
+    # as an empty typed Dataset, and the build writes a graph of META_DATA.
     checkpoint(
         parse_pipeline,
         parse_path,
         "parse",
         fingerprint,
-        partition_cols=["row_kind"],
-        schema=UNION_SCHEMA,
+        splits=("row_kind", PARSE_SPLITS),
     )
     # per-stage metrics: reject counts are free from the reject dir's
     # Parquet footers (the north rule's lineage + metrics; reference
@@ -646,8 +663,6 @@ def _build_cpg(
     n_sv_buckets = width
 
     def svagg_factory():
-        import polars as pl
-
         def _local_combine(t: pa.Table) -> pa.Table:
             # select by NAME: pyarrow's keys-vs-aggregates column order
             # is version-dependent (same fix as bucketed_group_agg)
@@ -656,6 +671,10 @@ def _build_cpg(
             return g.rename_columns(_SV_NAMES)
 
         def _pivot(b: pa.Table) -> pa.Table:
+            # imported in the UDF: only workers need polars, and on the
+            # driver it would add ~20 MB to the build's peak RSS
+            import polars as pl
+
             kind = b.column("skind")
             zero = pa.scalar(0, pa.int64())
 
@@ -1693,10 +1712,11 @@ def _build_cpg(
         # ONE execution writes BOTH outputs (round-3 verdict #9: fewer
         # Dataset executions): node-shaped dim/stub rows and the
         # <speculatedMethods> AST edges ride a padded union schema and
-        # split at the sink via hive partitioning on `rk` —
-        # dims/rk=node joins nodes_paths(), dims/rk=edge joins
-        # edges_paths().  (They must NOT union into the main link scan:
-        # a Dataset.union breaks its streaming fusion, measured 2x.)
+        # split at the sink on `rk`, each split typed —
+        # dims/rk=node (NODES_SCHEMA) joins nodes_paths(),
+        # dims/rk=edge (EDGES_SCHEMA) joins edges_paths().  (They must
+        # NOT union into the main link scan: a Dataset.union breaks its
+        # streaming fusion, measured 2x.)
         _USCHEMA = pa.schema(
             list(NODES_SCHEMA) + list(EDGES_SCHEMA) + [pa.field("rk", pa.string())]
         )
@@ -1729,8 +1749,13 @@ def _build_cpg(
             )
         if os.path.isdir(dims_path):
             shutil.rmtree(dims_path)
-        dims_ds.write_parquet(
-            dims_path, partition_cols=["rk"], min_rows_per_file=ROWS_PER_FILE
+        dims_ds.write_datasink(
+            SplitSink(
+                dims_path,
+                "rk",
+                {"node": NODES_SCHEMA, "edge": EDGES_SCHEMA},
+                min_rows_per_write=ROWS_PER_FILE,
+            )
         )
     # dims manifest written AFTER the writes below complete (it is the
     # completion marker for the whole chain)
@@ -1834,19 +1859,21 @@ def _build_cpg(
     # when CPUs are scarce); the partitioned layout also keeps
     # partition-level resume, so it stays the default.
     _build_dims()
-    partitioned_write(final_edges, edges_path, "edges", parse_fp, width)
+    # the link scan's read blocks bound the edge write's sort input
+    scan_roots = [os.path.join(parse_path, "row_kind=node")] + (
+        [canon_path] if canonical_mt_for_write is not None else []
+    )
+    partitioned_write(
+        final_edges, edges_path, "edges", parse_fp, width, root_blocks(scan_roots)
+    )
     t_eq.join()
     if errs:
         raise errs[0]
-    # stub count for stats/metrics: footer-filtered count off the dims
-    # parquet (label is a dictionary-encodable column; no key set needed)
-    try:
-        n_stubs = (
-            pads.dataset(dims_path, format="parquet")
-            .count_rows(filter=pads.field("label") == "METHOD")
-        )
-    except Exception:  # noqa: BLE001
-        n_stubs = 0
+    # stub count for stats/metrics: the METHOD rows of the dims' node
+    # split, counted by a filtered scan of its label column
+    n_stubs = pads.dataset(os.path.join(dims_path, "rk=node"), format="parquet").count_rows(
+        filter=pads.field("label") == "METHOD"
+    )
     # persist the stats a resumed run must reproduce (same return contract)
     stats = {
         "equivalences_path": equiv_path if eq_box[0] is not None else None,

@@ -30,20 +30,19 @@ def _collect(ds, schema: "pa.Schema | None" = None) -> pa.Table:
     return pa.concat_tables(parts)
 
 
-def _strip_meta(batch: pa.Table) -> pa.Table:
-    """Drop the pandas metadata blob the testdata parquet carries:
-    `hash(pa.Schema)` raises on it ("unhashable type: dict"), which
-    disables Ray's schema deduplication on every concat (observed
-    warning spam in bench logs).  Zero-copy."""
-    return batch.replace_schema_metadata(None)
-
-
 def _read(sf_dir: str, table: str, columns=None):
+    """Read a testdata table with its file schema minus the pandas
+    metadata blob it carries: `hash(pa.Schema)` raises on that blob
+    ("unhashable type: dict"), which disables Ray's schema deduplication
+    (a "Failed to hash the schemas" warning from the read task)."""
+    import pyarrow.parquet as pq
     import ray.data
 
-    return ray.data.read_parquet(
-        os.path.join(sf_dir, f"{table}.parquet"), columns=columns
-    ).map_batches(_strip_meta, batch_format="pyarrow")
+    path = os.path.join(sf_dir, f"{table}.parquet")
+    schema = pq.read_schema(path).remove_metadata()
+    if columns is not None:
+        schema = pa.schema([schema.field(c) for c in columns])
+    return ray.data.read_parquet(path, columns=columns, schema=schema)
 
 
 def _docs_count_for(sf_dir: str) -> int:

@@ -1062,7 +1062,6 @@ def ast_link_cross_fragment(
     launch floors, the data is small.
     """
     import numpy as np
-    import polars as pl
     import ray
 
     dup_arr = pa.array(sorted(td_dup_fqns), pa.string())
@@ -1080,6 +1079,10 @@ def ast_link_cross_fragment(
     )
 
     def _key(url_a: pa.Array, frag_a: pa.Array, par_a: pa.Array) -> np.ndarray:
+        # imported in the UDF: only workers need polars, and on the
+        # driver it would add ~20 MB to the build's peak RSS
+        import polars as pl
+
         h = None
         for col in (url_a, par_a):
             kh = pl.from_arrow(col).hash(seed=11).to_numpy()

@@ -36,7 +36,8 @@ from ..parsing.parser import FragmentParser, ParseError
 from ..schemas import EDGES_SCHEMA, NODES_SCHEMA, REJECTS_SCHEMA, rows_to_table
 
 # Union layout: nodes cols ∪ edges cols ∪ reject cols ∪ survey cols +
-# row_kind (the checkpoint's hive partition key).
+# row_kind, the key the checkpoint splits on (each split keeps only its
+# kind's columns: `pipelines.cpg.PARSE_SPLITS`).
 UNION_SCHEMA = pa.schema(
     [
         *NODES_SCHEMA,
@@ -56,7 +57,7 @@ UNION_SCHEMA = pa.schema(
 )
 
 # METHOD/TYPE_DECL/MEMBER rows get their own row_kind so the
-# canonicalization + index projections read a small dedicated hive dir
+# canonicalization + index projections read a small dedicated split
 # instead of filtering the full node stream (MEMBER rides along for the
 # cross-fragment FieldAccessLinkerPass two-key join).
 MT_LABELS = ("METHOD", "TYPE_DECL", "MEMBER")

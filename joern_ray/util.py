@@ -44,7 +44,6 @@ def bucketed_group_agg(ds, keys, aggs, num_buckets=32, seed=11):
     Count columns are re-summed (not re-counted) in the reduce combine.
     """
     import numpy as np
-    import polars as pl
     import pyarrow as pa
 
     out_names = list(keys) + [f"{c}_{f}" for c, f in aggs]
@@ -59,6 +58,10 @@ def bucketed_group_agg(ds, keys, aggs, num_buckets=32, seed=11):
     red_names = list(keys) + [f"{c}_{f2}" for (c, f2) in reaggs]
 
     def _bucket_col(t: pa.Table) -> pa.Table:
+        # imported in the UDF: only workers need polars, and on the
+        # driver it would add ~20 MB to the build's peak RSS
+        import polars as pl
+
         h = None
         for k in keys:
             kh = pl.from_arrow(t.column(k).combine_chunks()).hash(seed=seed).to_numpy()

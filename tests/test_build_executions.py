@@ -21,9 +21,8 @@ _PAGES = {
 }
 
 # parse, survey, canonicalize, the canonical_mt projection pass,
-# astlink, dims and the edge write's two, plus six for the equivalence
-# chain
-EXECUTION_BUDGET = 14
+# astlink, dims and the edge write, plus six for the equivalence chain
+EXECUTION_BUDGET = 13
 
 
 def _docs_factory(columns):
@@ -170,3 +169,32 @@ def test_every_build_read_sizes_its_blocks(ray_session, tmp_path, monkeypatch):
     assert calls
     unsized = [site for site, k in calls if k.get("override_num_blocks") is None]
     assert not unsized, unsized
+
+
+def test_groupby_runs_its_input_map_once(ray_session, tmp_path):
+    """The edge write groups a lazy map's output with no materialize
+    before it: the groupby's sort samples its input's boundaries without
+    running the upstream map a second time, so each of 10 blocks passes
+    the map once."""
+    import pyarrow.compute as pc
+    import ray.data
+
+    calls = tmp_path / "calls"
+
+    def tag(batch: pa.Table) -> pa.Table:
+        with open(calls, "a") as f:
+            f.write(".")
+        return batch.append_column("part", pc.bit_wise_and(batch.column("id"), 3))
+
+    def count(group: pa.Table) -> pa.Table:
+        return pa.table({"part": group.column("part").slice(0, 1), "n": [group.num_rows]})
+
+    out = (
+        ray.data.range(1000, override_num_blocks=10)
+        .map_batches(tag, batch_format="pyarrow", batch_size=None)
+        .groupby("part")
+        .map_groups(count, batch_format="pyarrow")
+        .take_all()
+    )
+    assert sorted((r["part"], r["n"]) for r in out) == [(p, 250) for p in range(4)]
+    assert calls.read_text() == "." * 10

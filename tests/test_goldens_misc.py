@@ -346,7 +346,7 @@ def test_partitioned_write_edge_duplication_guard(ray_session, tmp_path):
         }
     )
     out = str(tmp_path / "edges")
-    partitioned_write(ray.data.from_arrow(t), out, "edges", "dupguard-1", 4)
+    partitioned_write(ray.data.from_arrow(t), out, "edges", "dupguard-1", 4, in_blocks=1)
     got = pa.concat_tables(
         list(
             ray.data.read_parquet(out, columns=["subj", "pred", "obj", "variable"])

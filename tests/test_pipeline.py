@@ -98,6 +98,47 @@ def test_manifests_written(cpg):
         ), root
 
 
+def test_splits_carry_only_declared_columns(cpg):
+    """Every file of a parse or dims split holds exactly its kind's
+    declared fields, in one row group, and no split is undeclared."""
+    import pyarrow.parquet as pq
+
+    from joern_ray.pipelines.cpg import PARSE_SPLITS
+    from joern_ray.schemas import EDGES_SCHEMA, NODES_SCHEMA
+
+    roots = {
+        "parse": ("row_kind", PARSE_SPLITS),
+        "dims": ("rk", {"node": NODES_SCHEMA, "edge": EDGES_SCHEMA}),
+    }
+    seen = set()
+    for root, (column, schemas) in roots.items():
+        for d in sorted(os.listdir(os.path.join(cpg["out_dir"], root))):
+            if d.startswith("_"):
+                continue
+            key, value = d.split("=")
+            assert key == column and value in schemas, (root, d)
+            for f in os.listdir(os.path.join(cpg["out_dir"], root, d)):
+                pf = pq.ParquetFile(os.path.join(cpg["out_dir"], root, d, f))
+                assert pf.schema_arrow == schemas[value], (root, d, f)
+                assert pf.metadata.num_row_groups == 1, (root, d, f)
+                seen.add(f"{root}/{d}")
+    for split in ("node", "mtnode", "edge", "survey"):
+        assert f"parse/row_kind={split}" in seen
+    assert {"dims/rk=node", "dims/rk=edge"} <= seen
+
+
+def test_n_stubs_counts_dims_methods(cpg):
+    """`n_stubs` is the METHOD rows of the dims' node split: the stubs of
+    unresolved calls (this corpus calls library functions it never
+    defines)."""
+    import pyarrow.parquet as pq
+
+    labels = pq.read_table(
+        os.path.join(cpg["out_dir"], "dims", "rk=node"), columns=["label"]
+    ).column("label")
+    assert cpg["n_stubs"] == pc.sum(pc.equal(labels, "METHOD")).as_py() > 0
+
+
 def test_resume_skips_and_is_identical(ray_session, cpg, monkeypatch):
     from joern_ray.pipelines.cpg import build_cpg
 

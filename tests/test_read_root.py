@@ -9,6 +9,7 @@ import subprocess
 import sys
 
 import pyarrow as pa
+import pytest
 
 from joern_ray.io.checkpoint import read_blocks, read_root
 
@@ -46,11 +47,14 @@ def test_read_blocks_independent_of_cluster(ray_session):
 
 
 def test_missing_root_reads_typed_empty(ray_session, tmp_path):
-    ds = read_root([str(tmp_path / "absent")], ["id", "label", "skey", "sc"])
+    """A missing root reads as an empty Dataset typed by the schema it
+    was declared with, and without one the read fails."""
+    declared = pa.schema([("skind", pa.string()), ("skey", pa.string()), ("sc", pa.int64())])
+    ds = read_root([str(tmp_path / "absent")], ["skey", "sc"], declared)
     assert ds.count() == 0
-    assert ds.schema().base_schema == pa.schema(
-        [("id", pa.uint64()), ("label", pa.string()), ("skey", pa.string()), ("sc", pa.int64())]
-    )
+    assert ds.schema().base_schema == pa.schema([("skey", pa.string()), ("sc", pa.int64())])
+    with pytest.raises(FileNotFoundError):
+        read_root([str(tmp_path / "absent")], ["skey", "sc"])
 
 
 _PROSE = {
@@ -99,15 +103,17 @@ def test_prose_only_corpus_builds_typed_graph(ray_session, tmp_path, schema_mism
     assert edges.count() == 0
 
 
-def test_empty_corpus_builds_meta_data_graph(ray_session, tmp_path):
+def test_empty_corpus_builds_meta_data_graph(ray_session, tmp_path, schema_mismatch_log):
     """No doc at all: the parse checkpoint has no split, and the graph is
-    the META_DATA node alone, with no edge."""
+    the META_DATA node alone, with no edge.  Ray Data logs no schema
+    mismatch."""
     from joern_ray.pipelines.cpg import build_cpg, read_edges, read_nodes
     from joern_ray.schemas import EDGES_SCHEMA, NODES_SCHEMA
 
     out = str(tmp_path / "cpg")
     res = build_cpg(_docs({}), out, "empty-1")
     assert res["n_methods"] == 0 and res["n_stubs"] == 0
+    assert not schema_mismatch_log
     nodes, edges = read_nodes(out), read_edges(out)
     assert nodes.schema().base_schema == NODES_SCHEMA
     assert [r["label"] for r in nodes.take_all()] == ["META_DATA"]

@@ -1,9 +1,12 @@
 """`build_cpg` in a fresh Ray session of its own: it completes on a
 2-CPU cluster, because the parse stage runs as plain tasks and no actor
-pool pins the CPUs its read and write tasks need; and it starts Ray
-Data's stats actor before it calls `docs_factory`, so that cold start
-overlaps the docs read's instead of following it."""
+pool pins the CPUs its read and write tasks need; it starts Ray Data's
+stats actor before it calls `docs_factory`, so that cold start overlaps
+the docs read's instead of following it; and it never imports polars on
+the driver, whose only users are worker UDFs (importing it there after
+ray.data raised the driver's peak RSS by ~20 MB)."""
 
+import functools
 import os
 import shutil
 import signal
@@ -36,6 +39,7 @@ BUILD = SESSION + textwrap.dedent(
     """
     res = build_cpg(lambda columns: docs_dataset(24, parallelism=2), sys.argv[1], "twocpu-24")
     print("BUILT", res["resumed"], flush=True)
+    print("POLARS ON DRIVER", "polars" in sys.modules, flush=True)
     ray.shutdown()
     """
 )
@@ -97,8 +101,18 @@ def _run(script: str) -> str:
     return out
 
 
+@functools.cache
+def _two_cpu_build() -> str:
+    return _run(BUILD)
+
+
 def test_build_on_two_cpus():
-    _run(BUILD)
+    _two_cpu_build()
+
+
+def test_build_keeps_polars_off_the_driver():
+    out = _two_cpu_build()
+    assert "POLARS ON DRIVER False" in out, out[-3000:]
 
 
 def test_stats_actor_starts_before_docs_read():

@@ -51,9 +51,11 @@ def forced(ray_session):
 
 @pytest.fixture(scope="module")
 def ray_blocks(ray_session):
-    """Every read split by Ray's own default (at least 2 x CPUs blocks)."""
+    """Every read split into 8 blocks, as Ray's own default splits a
+    small read on this 4-CPU session (at least 2 x CPUs blocks); the
+    edge write then coalesces its input to the width first."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("joern_ray.io.checkpoint.read_blocks", lambda _b: None)
+        mp.setattr("joern_ray.io.checkpoint.read_blocks", lambda _b: 8)
         return _build(OUT_RAY_BLOCKS)
 
 
