@@ -435,107 +435,113 @@ class CfgBuilder:
 
 
 def _idoms(
-    edges: list[tuple[PNode, PNode]], entry: PNode
-) -> dict[int, PNode]:
-    """Immediate dominators of nodes reachable from `entry`, as
-    {id(node): idom PNode}.  Computes its own RPO so the CHK intersect is
-    guaranteed to terminate regardless of caller ordering."""
-    succ: dict[int, list[PNode]] = {}
-    by_id: dict[int, PNode] = {id(entry): entry}
-    for a, b in edges:
-        succ.setdefault(id(a), []).append(b)
-        by_id[id(a)] = a
-        by_id[id(b)] = b
-    # RPO from entry (iterative DFS)
-    seen: set[int] = {id(entry)}
-    post: list[PNode] = []
-    stack: list[tuple[PNode, int]] = [(entry, 0)]
+    succ: list[list[int]], preds: list[list[int]], entry: int
+) -> tuple[list[int], list[int]]:
+    """Immediate dominators over a graph of ints 0..n-1 -> (rpo, idom):
+    `rpo` lists the nodes reachable from `entry` in reverse post-order of
+    a DFS taking successors in list order, and `idom[v]` is v's immediate
+    dominator, -1 for `entry` and for nodes not reached.  The RPO is
+    computed here, so the CHK intersect terminates whatever order the
+    caller numbered the nodes in."""
+    seen = [False] * len(succ)
+    seen[entry] = True
+    post: list[int] = []
+    stack: list[tuple[int, int]] = [(entry, 0)]
     while stack:
-        node, ci = stack[-1]
-        ss = succ.get(id(node), [])
+        v, ci = stack[-1]
+        ss = succ[v]
         if ci < len(ss):
-            stack[-1] = (node, ci + 1)
+            stack[-1] = (v, ci + 1)
             s = ss[ci]
-            if id(s) not in seen:
-                seen.add(id(s))
+            if not seen[s]:
+                seen[s] = True
                 stack.append((s, 0))
         else:
-            post.append(node)
+            post.append(v)
             stack.pop()
-    rpo = list(reversed(post))
-    num = {id(n): i for i, n in enumerate(rpo)}  # entry == 0
-    preds: dict[int, list[int]] = {i: [] for i in range(len(rpo))}
-    for a, b in edges:
-        ia, ib = num.get(id(a)), num.get(id(b))
-        if ia is not None and ib is not None:
-            preds[ib].append(ia)
-    idom: list[int | None] = [None] * len(rpo)
-    idom[0] = 0
-
-    def intersect(b1: int, b2: int) -> int:
-        while b1 != b2:
-            while b1 > b2:
-                b1 = idom[b1]  # type: ignore[assignment]
-            while b2 > b1:
-                b2 = idom[b2]  # type: ignore[assignment]
-        return b1
-
+    rpo = post[::-1]
+    num = [-1] * len(succ)
+    for i, v in enumerate(rpo):
+        num[v] = i  # entry == 0
+    rpreds = [[num[p] for p in preds[v] if num[p] >= 0] for v in rpo]
+    dom = [-1] * len(rpo)
+    dom[0] = 0
     changed = True
     while changed:
         changed = False
         for i in range(1, len(rpo)):
-            new_idom = None
-            for p in preds[i]:
-                if idom[p] is not None:
-                    new_idom = p if new_idom is None else intersect(p, new_idom)
-            if new_idom is not None and idom[i] != new_idom:
-                idom[i] = new_idom
+            new = -1
+            for p in rpreds[i]:
+                if dom[p] < 0:
+                    continue
+                if new < 0:
+                    new = p
+                    continue
+                b1, b2 = p, new  # intersect
+                while b1 != b2:
+                    while b1 > b2:
+                        b1 = dom[b1]
+                    while b2 > b1:
+                        b2 = dom[b2]
+                new = b1
+            if new >= 0 and dom[i] != new:
+                dom[i] = new
                 changed = True
-    out: dict[int, PNode] = {}
+    idom = [-1] * len(succ)
     for i in range(1, len(rpo)):
-        if idom[i] is not None:
-            out[id(rpo[i])] = rpo[idom[i]]  # type: ignore[index]
-    return out
+        if dom[i] >= 0:
+            idom[rpo[i]] = rpo[dom[i]]
+    return rpo, idom
 
 
-def dominator_edges(
+def dominance_edges(
     nodes: list[PNode], edges: list[tuple[PNode, PNode]], entry: PNode, exit_: PNode
-) -> tuple[list[tuple[PNode, PNode]], list[tuple[PNode, PNode]]]:
-    """-> (DOMINATE edges idom(n)->n, POST_DOMINATE edges ipdom(n)->n)."""
-    by_id = {id(n): n for n in nodes}
-    dom = _idoms(edges, entry)
-    pdom = _idoms([(b, a) for a, b in edges], exit_)
-    d_edges = [(d, by_id[nid]) for nid, d in dom.items() if nid in by_id]
-    p_edges = [(d, by_id[nid]) for nid, d in pdom.items() if nid in by_id]
-    return d_edges, p_edges
+) -> tuple[list[tuple[PNode, PNode]], ...]:
+    """-> (DOMINATE edges idom(n)->n, POST_DOMINATE edges ipdom(n)->n,
+    CDG edges) of one method's CFG, for n in `nodes` (which hold `entry`
+    and `exit_`).  The CFG is indexed once as ints (`nodes` first, then
+    any other edge endpoint) and solved once per direction; CDG walks the
+    post-dominator tree of that solve.
 
-
-def cdg_edges(
-    nodes: list[PNode], edges: list[tuple[PNode, PNode]], exit_: PNode
-) -> list[tuple[PNode, PNode]]:
-    """Control-dependence via post-dominance frontier (Ferrante et al.; the
-    reference's `CdgPass.scala:23-68` walks the same frontier): for each
-    CFG edge (a, b), walk b up the ipdom chain to ipdom(a), marking every
-    visited node control-dependent on a."""
-    ipdom = _idoms([(b, a) for a, b in edges], exit_)
-    out: list[tuple[PNode, PNode]] = []
+    CDG is control dependence via the post-dominance frontier (Ferrante
+    et al.; the reference's `CdgPass.scala:23-68` walks the same
+    frontier): for each CFG edge (a, b), walk b up the ipdom chain to
+    ipdom(a), marking every visited node control-dependent on a."""
+    order = list({id(n): n for n in nodes}.values())
+    k = len(order)  # indexes below k are `nodes`
+    index = {id(n): i for i, n in enumerate(order)}
+    for ab in edges:
+        for n in ab:
+            if id(n) not in index:
+                index[id(n)] = len(order)
+                order.append(n)
+    iedges = [(index[id(a)], index[id(b)]) for a, b in edges]
+    succ: list[list[int]] = [[] for _ in order]
+    preds: list[list[int]] = [[] for _ in order]
+    for a, b in iedges:
+        succ[a].append(b)
+        preds[b].append(a)
+    rpo, idom = _idoms(succ, preds, index[id(entry)])
+    prpo, ipdom = _idoms(preds, succ, index[id(exit_)])
+    d_edges = [(order[idom[v]], order[v]) for v in rpo[1:] if v < k and idom[v] >= 0]
+    p_edges = [(order[ipdom[v]], order[v]) for v in prpo[1:] if v < k and ipdom[v] >= 0]
+    cdg: list[tuple[PNode, PNode]] = []
     seen: set[tuple[int, int]] = set()
-    for a, b in edges:
-        stop = ipdom.get(id(a))
-        runner: PNode | None = b
+    for a, b in iedges:
+        stop = ipdom[a]  # -1: walk to the root
+        runner = b
         hops = 0
-        while runner is not None and (stop is None or id(runner) != id(stop)):
-            if id(runner) == id(a):
+        while runner >= 0 and runner != stop:
+            if runner == a:
                 break  # self-loop — reference skips self-dependence
-            key = (id(a), id(runner))
-            if key not in seen:
-                seen.add(key)
-                out.append((a, runner))
-            runner = ipdom.get(id(runner))
+            if (a, runner) not in seen:
+                seen.add((a, runner))
+                cdg.append((order[a], order[runner]))
+            runner = ipdom[runner]
             hops += 1
             if hops > len(nodes) + 1:  # degenerate chain guard
                 break
-    return out
+    return d_edges, p_edges, cdg
 
 
 # ---------------------------------------------------------------------------
@@ -727,16 +733,10 @@ def method_overlays(root: PNode) -> list[tuple[PNode, str, PNode, str | None]]:
         for a, c in cfg:
             out.append((a, "CFG", c, None))
         if method_return is not None and len(nodes) > 1:
-            try:
-                d, p = dominator_edges(nodes, cfg, m, method_return)
-                out.extend((a, "DOMINATE", c, None) for a, c in d)
-                out.extend((a, "POST_DOMINATE", c, None) for a, c in p)
-                out.extend(
-                    (a, "CDG", c, None) for a, c in cdg_edges(nodes, cfg, method_return)
-                )
-            except (KeyError, RecursionError):
-                pass  # degenerate CFG — skip overlays, keep CFG (reference
-                # warns and continues on invalid CFGs, CdgPass.scala:30-40)
+            d, p, cd = dominance_edges(nodes, cfg, m, method_return)
+            out.extend((a, "DOMINATE", c, None) for a, c in d)
+            out.extend((a, "POST_DOMINATE", c, None) for a, c in p)
+            out.extend((a, "CDG", c, None) for a, c in cd)
             rd = reaching_def_edges(nodes, cfg, m)
             if rd is not None:
                 out.extend((a, "REACHING_DEF", c, v) for a, c, v in rd)

@@ -313,12 +313,13 @@ def root_blocks(paths: list[str]) -> int:
 
 
 def read_root(paths: str | list[str], columns: list[str], schema=None):
-    """Read the `columns` of one or more checkpoint root directories in
-    `read_blocks(bytes on disk)` blocks.  Roots that do not exist are
-    skipped (a corpus without code writes no `survey` or `mtnode` split);
-    when no Parquet file is left the result is an empty Dataset typed by
-    `schema`, the root's declared schema, and without one the read
-    fails."""
+    """Read the `columns` of one or more checkpoint root directories as
+    ONE read of their Parquet files, in `read_blocks(bytes on disk)`
+    blocks, so `root_blocks(paths)` is its block count.  Roots that do
+    not exist are skipped (a corpus without code writes no `survey` or
+    `mtnode` split); when no Parquet file is left the result is an empty
+    Dataset typed by `schema`, the root's declared schema, and without
+    one the read fails."""
     import pyarrow as pa
     import ray.data
 
@@ -329,7 +330,7 @@ def read_root(paths: str | list[str], columns: list[str], schema=None):
             raise FileNotFoundError(f"no Parquet file under {paths}")
         return ray.data.from_arrow(pa.schema([schema.field(c) for c in columns]).empty_table())
     return ray.data.read_parquet(
-        roots if len(roots) > 1 else roots[0],
+        files,
         columns=columns,
         override_num_blocks=read_blocks(sum(os.path.getsize(f) for f in files)),
     )
@@ -347,9 +348,11 @@ def partitioned_write(
     per partition.  P is the build's `exchange_width`.  The layout is
     fixed, never probed with `ds.schema()`, which would launch an extra
     execution of the lazy upstream.  `in_blocks` is the block count of
-    `ds`'s reads (`root_blocks`): the sort's cost scales with block
-    COUNT, not bytes (observed 35s over 708 tiny blocks vs 2s over 160),
-    so an input split finer than 2 x P blocks is coalesced to P first.
+    `ds`: `ds` maps ONE read (no union), fused, so it is that read's own
+    block count, `root_blocks` of its roots.  The sort's cost scales with
+    block COUNT, not bytes (observed 35s over 708 tiny blocks vs 2s over
+    160), so an input split finer than 2 x P blocks is coalesced to P
+    first.
 
     Why not `write_parquet(partition_cols=...)`: that writes one file per
     (input block × partition) — observed 22k tiny files for 128 MB.  The

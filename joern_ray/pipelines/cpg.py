@@ -29,7 +29,8 @@ duplicated class):
   main chain  parse, survey-agg, canonicalize, ONE canonical_mt
               projection pass, astlink (only when class names collide),
               fused dims+spec write, and the linked-edge partitioned
-              write;
+              write (ONE read of the plain and canonical nodes, fused
+              with the link map);
   beside it   from parse on, the equivalence chain's six (content hash,
               exact-dup aggregate, band signatures, bucket minimum,
               collapse-map collect, sorted write).
@@ -540,7 +541,6 @@ def _build_cpg(
         "method_full_name", "type_full_name", "url",
         "dynamic_type_hint_full_name",
     ]
-    nodes_for_link = lambda: read_union_split(parse_path, "node", _LINK_COLS)  # noqa: E731
     mt_ds = lambda: read_union_split(parse_path, "mtnode")  # noqa: E731
 
     # ---- stage: entity equivalence (MinHash collapse; north star:
@@ -803,9 +803,11 @@ def _build_cpg(
             parse_fp,
             min_rows_per_file=ROWS_PER_FILE,
         )
-        canonical_mt_for_write = read_root(canon_path, _LINK_COLS)
-    else:
-        canonical_mt_for_write = None
+    # the link scan's roots: the plain nodes, plus the canonical
+    # METHOD/TYPE_DECL rows when the corpus has any
+    scan_roots = [os.path.join(parse_path, "row_kind=node")] + (
+        [canon_path] if n_mt else []
+    )
 
     # ---- one projection pass over canonical_mt ------------------------
     # Every driver-side reader of the canonical table — AstLinkerPass's
@@ -1761,12 +1763,12 @@ def _build_cpg(
     # completion marker for the whole chain)
 
     def all_nodes():
-        """Column-pruned union of plain + canonical nodes feeding the
-        linker (nothing else consumes this)."""
-        base = nodes_for_link()
-        if canonical_mt_for_write is not None:
-            base = base.union(canonical_mt_for_write)
-        return base
+        """The linker's node scan: the `_LINK_COLS` of plain + canonical
+        nodes as ONE Parquet read of `scan_roots` (nothing else consumes
+        this).  A union of two reads would keep the reads from fusing
+        with the link map and feed the edge write's sort one block more
+        than `root_blocks(scan_roots)` counts."""
+        return read_root(scan_roots, _LINK_COLS, schema=PARSE_SPLITS["node"])
 
     if use_broadcast:
         # fused: CALL/REF resolution + map-side dimension links in ONE
@@ -1859,10 +1861,9 @@ def _build_cpg(
     # when CPUs are scarce); the partitioned layout also keeps
     # partition-level resume, so it stays the default.
     _build_dims()
-    # the link scan's read blocks bound the edge write's sort input
-    scan_roots = [os.path.join(parse_path, "row_kind=node")] + (
-        [canon_path] if canonical_mt_for_write is not None else []
-    )
+    # in the broadcast regime the sort's input is the link scan's one
+    # read, fused with the link map, so its blocks are the read's own
+    # block count, `root_blocks(scan_roots)`
     partitioned_write(
         final_edges, edges_path, "edges", parse_fp, width, root_blocks(scan_roots)
     )

@@ -198,3 +198,38 @@ def test_groupby_runs_its_input_map_once(ray_session, tmp_path):
     )
     assert sorted((r["part"], r["n"]) for r in out) == [(p, 250) for p in range(4)]
     assert calls.read_text() == "." * 10
+
+
+def test_edge_write_bound_counts_its_input_blocks(ray_session, tmp_path, monkeypatch):
+    """`_PAGES` reopens `Widget`, so `canonical_mt` exists and the link
+    scan reads two roots: the edge write's block bound `in_blocks` is
+    still the block count of the Dataset it sorts."""
+    import joern_ray.pipelines.cpg as cpg
+
+    seen: list = []
+    real = cpg.partitioned_write
+
+    def checked(ds, path, stage, fingerprint, width, in_blocks):
+        seen.append((in_blocks, ds.materialize().num_blocks()))
+        return real(ds, path, stage, fingerprint, width, in_blocks)
+
+    monkeypatch.setattr(cpg, "partitioned_write", checked)
+    out = tmp_path / "cpg"
+    cpg.build_cpg(_docs_factory, str(out), "bound-1")
+    assert (out / "canonical_mt").is_dir()
+    [(in_blocks, sorted_blocks)] = seen
+    assert in_blocks == sorted_blocks
+
+
+def test_link_scan_is_one_fused_read(ray_session, tmp_path, execution_plans):
+    """In the broadcast regime the edge write's plan reads the link
+    scan's two roots as ONE Parquet read fused with the link map: no
+    union, whose two reads would not fuse with the map."""
+    from joern_ray.pipelines.cpg import build_cpg
+
+    res = build_cpg(_docs_factory, str(tmp_path / "cpg"), "plan-1")
+    assert res["link_regime"] == "broadcast"
+    [plan] = [p for p in execution_plans if "MapBatches(add_part)" in p]
+    assert plan.count("ReadParquet") == 1, plan
+    assert "UnionOperator" not in plan, plan
+    assert "[ReadParquet->MapBatches(_fn)->MapBatches(add_part)]" in plan, plan

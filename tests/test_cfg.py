@@ -2,7 +2,10 @@
 style, `x2cpg/src/test/.../testfixtures/CfgTestFixture.scala:15-60`),
 dominators, CDG, reaching definitions."""
 
-from joern_ray.graph.cfg import CfgBuilder, method_overlays
+import random
+
+from joern_ray.graph.cfg import CfgBuilder, dominance_edges, method_overlays
+from joern_ray.parsing.astmodel import PNode
 from joern_ray.parsing.parser import FragmentParser
 
 
@@ -87,6 +90,85 @@ def test_cdg_branches_depend_on_condition():
     cdg = {(a.code, c.code) for a, p, c, _ in ov if p == "CDG"}
     assert ("x", "a()") in cdg and ("x", "b()") in cdg
     assert ("x", "c()") not in cdg  # join is not control-dependent
+
+
+def _dominators(succ: dict[int, set[int]], entry: int) -> dict[int, set[int]]:
+    """Dominator sets by their definition, over the nodes reachable from
+    `entry`: the fixpoint of Dom(v) = {v} | the intersection of Dom(p)
+    over v's reachable predecessors."""
+    reach, todo = {entry}, [entry]
+    while todo:
+        for w in succ.get(todo.pop(), ()):
+            if w not in reach:
+                reach.add(w)
+                todo.append(w)
+    dom = {v: set(reach) for v in reach}
+    dom[entry] = {entry}
+    changed = True
+    while changed:
+        changed = False
+        for v in reach - {entry}:
+            preds = [dom[p] for p in reach if v in succ.get(p, ())]
+            new = {v} | set.intersection(*preds)
+            if new != dom[v]:
+                dom[v], changed = new, True
+    return dom
+
+
+def _idom(dom: dict[int, set[int]], v: int) -> int:
+    # the strict dominators form a chain; the nearest has the most
+    return max(dom[v] - {v}, key=lambda d: len(dom[d]))
+
+
+def test_dominance_matches_definition():
+    """`dominance_edges` on random CFGs with loops, self-loops, duplicate
+    edges and dead code (nodes only an edge names, not reachable from
+    the entry) against the set definitions: DOMINATE and POST_DOMINATE
+    are the immediate (post-)dominators of `nodes`, and CDG holds (a, w)
+    for each edge (a, b) and each w that post-dominates b but does not
+    strictly post-dominate a, w != a."""
+    rng = random.Random(7)
+    for _ in range(200):
+        n = rng.randint(2, 12)
+        dead = list(range(n, n + rng.randint(0, 2)))
+        exit_ = n - 1
+        edges = []
+        for v in range(1, n - 1):  # every live node: reached from 0, reaches exit
+            edges.append((rng.randrange(v), v))
+            edges.append((v, rng.randint(v + 1, exit_)))
+        for d in dead:
+            edges.append((d, rng.randrange(n)))
+        for _ in range(rng.randint(0, 2 * n)):
+            edges.append((rng.randrange(n - 1), rng.randrange(n)))
+        if n == 2 or rng.random() < 0.5:
+            edges.append((0, exit_))
+        rng.shuffle(edges)
+        pn = [PNode("CALL", code=str(i)) for i in range(n + len(dead))]
+        nodes = list(range(n))
+        rng.shuffle(nodes)
+        d, p, cdg = dominance_edges(
+            [pn[v] for v in nodes], [(pn[a], pn[b]) for a, b in edges], pn[0], pn[exit_]
+        )
+
+        def ints(pairs):
+            return [(int(a.code), int(b.code)) for a, b in pairs]
+
+        succ: dict[int, set[int]] = {}
+        rsucc: dict[int, set[int]] = {}
+        for a, b in edges:
+            succ.setdefault(a, set()).add(b)
+            rsucc.setdefault(b, set()).add(a)
+        dom, pdom = _dominators(succ, 0), _dominators(rsucc, exit_)
+        assert sorted(ints(d)) == sorted((_idom(dom, v), v) for v in dom if v != 0)
+        assert sorted(ints(p)) == sorted((_idom(pdom, v), v) for v in range(n) if v != exit_)
+        want = {
+            (a, w)
+            for a, b in edges
+            for w in pdom[b]
+            if w != a and w not in pdom[a] - {a}
+        }
+        assert len(set(ints(cdg))) == len(cdg)
+        assert set(ints(cdg)) == want
 
 
 def test_reaching_def_kill():

@@ -5,13 +5,16 @@ so a corpus without code still builds a typed graph."""
 
 import json
 import math
+import os
 import subprocess
 import sys
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
-from joern_ray.io.checkpoint import read_blocks, read_root
+from joern_ray.io.checkpoint import _parquet_files, read_blocks, read_root
 
 MIB = 1 << 20
 
@@ -55,6 +58,44 @@ def test_missing_root_reads_typed_empty(ray_session, tmp_path):
     assert ds.schema().base_schema == pa.schema([("skey", pa.string()), ("sc", pa.int64())])
     with pytest.raises(FileNotFoundError):
         read_root([str(tmp_path / "absent")], ["skey", "sc"])
+
+
+def test_two_roots_read_as_one_sized_read(ray_session, tmp_path):
+    """Two roots, one of them a hive-named split directory, read as one
+    read: every row of both comes back, with exactly the columns asked
+    for (no `row_kind` partition column), in `read_blocks` of both
+    roots' bytes; with no file under either root the read is empty and
+    typed."""
+    declared = pa.schema([("id", pa.uint64()), ("name", pa.string()), ("code", pa.string())])
+    node, canon = tmp_path / "parse" / "row_kind=node", tmp_path / "canonical_mt"
+    rng = np.random.default_rng(0)
+    ids = iter(range(1_000_000))
+    for root, n_files in ((node, 2), (canon, 1)):
+        root.mkdir(parents=True)
+        (root / "_manifest.json").write_text("{}")
+        for k in range(n_files):
+            # random hex, so the bytes on disk ask for more than one block
+            rows = [next(ids) for _ in range(2_000)]
+            code = [rng.bytes(40).hex() for _ in rows]
+            pq.write_table(
+                pa.table([rows, [f"n{i}" for i in rows], code], schema=declared),
+                str(root / f"{k}.parquet"),
+            )
+    roots = [str(node), str(canon)]
+    nbytes = sum(os.path.getsize(f) for f in _parquet_files(roots))
+    assert read_blocks(nbytes) > 1
+
+    ds = read_root(roots, ["id", "name"], declared).materialize()
+    assert ds.schema().base_schema == pa.schema([("id", pa.uint64()), ("name", pa.string())])
+    assert sorted(r["id"] for r in ds.take_all()) == list(range(6_000))
+    assert ds.num_blocks() == read_blocks(nbytes)
+
+    empty = [str(tmp_path / "e" / "row_kind=node"), str(tmp_path / "e" / "canonical_mt")]
+    for root in empty:
+        os.makedirs(root)
+    ds = read_root(empty, ["id", "name"], declared)
+    assert ds.count() == 0
+    assert ds.schema().base_schema == pa.schema([("id", pa.uint64()), ("name", pa.string())])
 
 
 _PROSE = {
