@@ -17,6 +17,11 @@ partition so a killed run skips finished partitions (north rule:
 per-partition lineage + metrics); those manifests record the width P
 they were written at.
 
+Every Parquet file a build writes, through Ray or from the driver, is
+encoded by `write_options` (zstd; no dictionary on 64-bit ids); a file
+written by one task or by the driver goes through `write_table`, which
+renames it into place.
+
 `exchange_width` sizes every shuffle of a build from the parse
 checkpoint's measured bytes instead of fixed widths, `read_root` sizes
 every read of a checkpoint from its bytes on disk, and `ROWS_PER_FILE`
@@ -139,6 +144,42 @@ def write_manifest(
     return m
 
 
+def write_options(schema) -> dict:
+    """The Parquet write options of every file the build writes, for a
+    table of `schema`: zstd, and dictionary encoding on every column
+    except the 64-bit integer ones.  Those hold the graph's ids, random
+    63-bit hashes (`functions/hashing.py`): a split's dictionary holds
+    nearly every distinct id at 8 B and each row adds a wide index into
+    it.  Stored plain, an id's repeats among a fragment's contiguous
+    rows are left to zstd, which matches them (snappy does not)."""
+    import pyarrow as pa
+
+    # (Parquet column path, Arrow type) of each leaf column; a list
+    # column's values are its `.list.element` leaf
+    leaves = (
+        (f"{f.name}.list.element", f.type.value_type)
+        if pa.types.is_list(f.type)
+        else (f.name, f.type)
+        for f in schema
+    )
+    return {
+        "compression": "zstd",
+        "use_dictionary": [
+            path for path, t in leaves if not (pa.types.is_integer(t) and t.bit_width == 64)
+        ],
+    }
+
+
+def write_table(table, path: str, **kwargs) -> None:
+    """Write `table` to `path` under `write_options`, through a
+    temporary name renamed into place, so a reader (or a retried task)
+    never sees a partial file.  `kwargs` go to `pq.write_table`."""
+    import pyarrow.parquet as pq
+
+    pq.write_table(table, path + ".tmp", **write_options(table.schema), **kwargs)
+    os.replace(path + ".tmp", path)
+
+
 class SplitSink(Datasink):
     """Writes a Dataset whose rows are of several kinds, told apart by
     the value of `column`, as one subdirectory `{column}={value}` per
@@ -172,7 +213,6 @@ class SplitSink(Datasink):
     def write(self, blocks, ctx) -> None:
         import pyarrow as pa
         import pyarrow.compute as pc
-        import pyarrow.parquet as pq
         from ray.data.block import BlockAccessor
 
         tables = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
@@ -191,9 +231,9 @@ class SplitSink(Datasink):
             part = part.cast(schema)
             d = os.path.join(self.path, f"{self.column}={value}")
             os.makedirs(d, exist_ok=True)
-            fp = os.path.join(d, f"{ctx.task_idx:06d}.parquet")
-            pq.write_table(part, fp + ".tmp", row_group_size=part.num_rows)
-            os.replace(fp + ".tmp", fp)
+            write_table(
+                part, os.path.join(d, f"{ctx.task_idx:06d}.parquet"), row_group_size=part.num_rows
+            )
 
 
 def checkpoint(
@@ -216,14 +256,15 @@ def checkpoint(
     tasks, and most callers read a column subset or one split.
     `min_rows_per_file` (normally `ROWS_PER_FILE`) coalesces the output:
     a table Ray split into many blocks is otherwise written as many tiny
-    files.  `schema`, when the output's is known, types a 0-row output
-    without asking Ray, which runs the lineage again to answer and has
-    no schema to give after an exchange of empty blocks.
+    files.  `schema` is the output's declared schema: it picks the
+    `write_options`, and types a 0-row output without asking Ray, which
+    runs the lineage again to answer and has no schema to give after an
+    exchange of empty blocks.
     `splits` = `(column, {value: schema})` writes the output through
-    `SplitSink` instead, one typed subdirectory per value of `column`,
-    so consumers of one kind scan only that kind's files; a 0-row output
-    leaves the root empty, and each absent split reads as an empty
-    Dataset of its own schema (`read_root`).
+    `SplitSink` instead of `schema`, one typed subdirectory per value of
+    `column`, so consumers of one kind scan only that kind's files; a
+    0-row output leaves the root empty, and each absent split reads as
+    an empty Dataset of its own schema (`read_root`).
     """
     import shutil as _shutil
 
@@ -235,20 +276,16 @@ def checkpoint(
         if splits is not None:
             ds.write_datasink(SplitSink(path, *splits, min_rows_per_write=min_rows_per_file))
         else:
-            ds.write_parquet(path, min_rows_per_file=min_rows_per_file)
+            ds.write_parquet(
+                path, min_rows_per_file=min_rows_per_file, **write_options(schema)
+            )
         if not os.path.isdir(path):
             # a 0-row Dataset writes no files at all; materialize an
             # empty parquet carrying the schema so read-back and the
             # manifest row count still work (overlay passes can
             # legitimately match nothing on a given corpus)
-            import pyarrow.parquet as _pq
-
             os.makedirs(path, exist_ok=True)
-            sch = schema
-            if sch is None:
-                sch = ds.schema(fetch_if_missing=True)
-                sch = getattr(sch, "base_schema", sch)
-            _pq.write_table(sch.empty_table(), os.path.join(path, "empty.parquet"))
+            write_table(schema.empty_table(), os.path.join(path, "empty.parquet"))
         write_manifest(path, stage, fingerprint, time.perf_counter() - t0)
 
 
@@ -260,8 +297,8 @@ _TARGET_BYTES = 64 << 20
 # ~250 B (parse union rows 146-247 B per row kind, which every downstream
 # table projects: canonical_mt 184, dims 150, equivalences 16), so a
 # write task buffers at most ~64 MiB.  Compressed bytes on disk would not
-# do: the parse checkpoint stores ~10 B per row, which let a write task
-# buffer ~20x the target.
+# do: the parse checkpoint stores ~7 B per row, which would let a write
+# task buffer ~35x the target.
 ROWS_PER_FILE = _TARGET_BYTES // 256
 
 
@@ -285,7 +322,13 @@ def _parquet_files(roots: list[str]) -> list[str]:
 
 
 # Ray's default in-memory / on-disk size estimate for Parquet
-# (`PARQUET_ENCODING_RATIO_ESTIMATE_DEFAULT`)
+# (`PARQUET_ENCODING_RATIO_ESTIMATE_DEFAULT`).  Under `write_options` the
+# graph measures higher (Arrow bytes over file bytes, whole graph / parse
+# checkpoint): 7.6 / 8.6 on cpgbench's build_mixed, 6.2 / 7.3 on
+# build_boilerplate, 7.2 / 8.0 on a 3,000-doc build (5.8 / 6.5, 5.1 / 5.9
+# and 5.4 / 5.9 under snappy with dictionary-encoded ids), so a read's
+# estimated in-memory size is low by up to 40%.  Not retuned: no
+# measurement yet shows a read split better at a higher ratio.
 _PARQUET_ENCODING_RATIO = 5
 
 
@@ -348,8 +391,9 @@ def partitioned_write(
     per partition.  P is the build's `exchange_width`.  The layout is
     fixed, never probed with `ds.schema()`, which would launch an extra
     execution of the lazy upstream.  `in_blocks` is the block count of
-    `ds`: `ds` maps ONE read (no union), fused, so it is that read's own
-    block count, `root_blocks` of its roots.  The sort's cost scales with
+    `ds`, counted by the caller from its inputs without running it (a
+    fused map of one read has `root_blocks` of its roots; a union adds
+    each side's count).  The sort's cost scales with
     block COUNT, not bytes (observed 35s over 708 tiny blocks vs 2s over
     160), so an input split finer than 2 x P blocks is coalesced to P
     first.
@@ -373,7 +417,6 @@ def partitioned_write(
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
-    import pyarrow.parquet as pq
 
     os.makedirs(path, exist_ok=True)
     done = frozenset(
@@ -432,9 +475,7 @@ def partitioned_write(
             batch = batch.filter(pa.array(keep))
         sub = os.path.join(path, f"part={part}")
         os.makedirs(sub, exist_ok=True)
-        fp = os.path.join(sub, "data.parquet")
-        pq.write_table(batch, fp + ".tmp")
-        os.replace(fp + ".tmp", fp)
+        write_table(batch, os.path.join(sub, "data.parquet"))
         return pa.table({"part": pa.array([part], pa.int32()), "rows": pa.array([batch.num_rows], pa.int64())})
 
     # the groupby's sort samples its input's block boundaries without
@@ -460,6 +501,6 @@ def partitioned_write(
     if not parts_written and not done:
         from ..schemas import EDGES_SCHEMA
 
-        pq.write_table(EDGES_SCHEMA.empty_table(), os.path.join(path, "empty.parquet"))
+        write_table(EDGES_SCHEMA.empty_table(), os.path.join(path, "empty.parquet"))
     write_manifest(path, stage, fingerprint, wall, extra={"total_rows": total, **wx})
     return path

@@ -84,6 +84,8 @@ from ..io.checkpoint import (
     read_root,
     root_blocks,
     write_manifest,
+    write_options,
+    write_table,
 )
 from ..schemas import EDGES_SCHEMA, NODES_SCHEMA, REJECTS_SCHEMA, rows_to_table
 from ..stages.extract import detect_fragments_batch
@@ -112,6 +114,9 @@ PARSE_SPLITS = {
         "survey": ["skind", "skey", "sc", "sn", "sx"],
     }.items()
 }
+
+# the equivalences table: each collapsed METHOD's id and its entity's id
+_EQUIV_SCHEMA = pa.schema([("method_id", pa.int64()), ("entity_id", pa.int64())])
 
 
 def edges_paths(out_dir: str) -> list[str]:
@@ -599,7 +604,7 @@ def _build_cpg(
                         batch.column("method_id"), batch.column("canonical_id")
                     )
                 )
-                return b.rename_columns(["method_id", "entity_id"])
+                return b.rename_columns(_EQUIV_SCHEMA.names)
 
             if os.path.isdir(equiv_path):
                 shutil.rmtree(equiv_path)
@@ -609,7 +614,11 @@ def _build_cpg(
             (
                 out.map_batches(collapsed_only, batch_format="pyarrow")
                 .sort("method_id")
-                .write_parquet(equiv_path, min_rows_per_file=ROWS_PER_FILE)
+                .write_parquet(
+                    equiv_path,
+                    min_rows_per_file=ROWS_PER_FILE,
+                    **write_options(_EQUIV_SCHEMA),
+                )
             )
             os.makedirs(equiv_path, exist_ok=True)  # empty result edge case
             m = write_manifest(equiv_path, "equivalences", parse_fp, 0.0)
@@ -802,6 +811,7 @@ def _build_cpg(
             "canonical_mt",
             parse_fp,
             min_rows_per_file=ROWS_PER_FILE,
+            schema=PARSE_SPLITS["mtnode"],
         )
     # the link scan's roots: the plain nodes, plus the canonical
     # METHOD/TYPE_DECL rows when the corpus has any
@@ -862,7 +872,9 @@ def _build_cpg(
             td_dup_fqns,
             canon_td_ids,
             num_buckets=width,
-        ).write_parquet(astlink_path, min_rows_per_file=ROWS_PER_FILE)
+        ).write_parquet(
+            astlink_path, min_rows_per_file=ROWS_PER_FILE, **write_options(EDGES_SCHEMA)
+        )
         write_manifest(astlink_path, "edges_astlink", parse_fp, 0.0)
 
     # ---- stage: XInheritanceFullNamePass (cross-document) -------------
@@ -1011,8 +1023,6 @@ def _build_cpg(
     if os.path.isdir(inherit_path):
         shutil.rmtree(inherit_path)
     if inherit_alias:
-        import pyarrow.parquet as _pq
-
         _ie = sorted(
             (nid, type_id(inherit_alias[base]))
             for nid, tfn in _inherit_hits
@@ -1029,7 +1039,7 @@ def _build_cpg(
             schema=EDGES_SCHEMA,
         )
         os.makedirs(inherit_path, exist_ok=True)
-        _pq.write_table(_iet, os.path.join(inherit_path, "data.parquet"))
+        write_table(_iet, os.path.join(inherit_path, "data.parquet"))
         write_manifest(inherit_path, "edges_inherit", parse_fp, 0.0)
 
     # ---- stage: link --------------------------------------------------
@@ -1579,7 +1589,7 @@ def _build_cpg(
 
             return nodes_plain().map_batches(_f, batch_format="pyarrow")
 
-        link_edges = salted_call_link(
+        link_edges, link_blocks = salted_call_link(
             calls_proj(),
             read_root(canon_path, ["id", "label", "full_name", "signature"])
             if n_mt
@@ -1770,6 +1780,9 @@ def _build_cpg(
         than `root_blocks(scan_roots)` counts."""
         return read_root(scan_roots, _LINK_COLS, schema=PARSE_SPLITS["node"])
 
+    # the edge write's sort input: the link scan's one read, fused with
+    # the link map, plus (salted regime) the join's output blocks
+    in_blocks = root_blocks(scan_roots)
     if use_broadcast:
         # fused: CALL/REF resolution + map-side dimension links in ONE
         # scan of the node stream.  Plain TASKS (instant full-CPU spread,
@@ -1786,6 +1799,7 @@ def _build_cpg(
             mapside_link_edges, batch_format="pyarrow"
         )
         final_edges = link_edges.union(mapside_edges)
+        in_blocks += link_blocks
 
     # AST edges from <speculatedMethods> to hint-only stubs (reference
     # `XTypeHintCallLinker.scala:166-183`) — a tiny map over the
@@ -1861,12 +1875,7 @@ def _build_cpg(
     # when CPUs are scarce); the partitioned layout also keeps
     # partition-level resume, so it stays the default.
     _build_dims()
-    # in the broadcast regime the sort's input is the link scan's one
-    # read, fused with the link map, so its blocks are the read's own
-    # block count, `root_blocks(scan_roots)`
-    partitioned_write(
-        final_edges, edges_path, "edges", parse_fp, width, root_blocks(scan_roots)
-    )
+    partitioned_write(final_edges, edges_path, "edges", parse_fp, width, in_blocks)
     t_eq.join()
     if errs:
         raise errs[0]

@@ -660,7 +660,9 @@ def _raw_fragments_ds(sf_dir: str):
 
     # keep this tag in lockstep with _cpg_paths' corpus tag: the corpus
     # generator is input, not parser code, so no fingerprint covers it
-    checkpoint(factory, path, "fragments", f"corpus-{n}-seed42-v6")
+    checkpoint(
+        factory, path, "fragments", f"corpus-{n}-seed42-v6", schema=FRAGMENTS_SCHEMA
+    )
     return ray.data.read_parquet(path)
 
 

@@ -17,6 +17,8 @@ SARIF via `io.export.export_sarif`.
 
 from __future__ import annotations
 
+import json
+import logging
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,6 +26,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .dsl import Cpg
+
+logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class CodeExamples:
@@ -1231,8 +1235,13 @@ def run_scan(
     cpg: Cpg, names: tuple = (), tags: tuple = ()
 ) -> pa.Table:
     """ScanPass analog: run each selected query serially (each traversal
-    is internally a parallel Ray pipeline), concatenate findings."""
+    is internally a parallel Ray pipeline), concatenate findings.  A
+    query that raises is logged at WARNING with its error and the scan
+    goes on without it, as the reference's does (`scan/package.scala:
+    32-36`); the findings' schema metadata `failed_queries` holds the
+    JSON list of the names of those queries."""
     out: list[pa.Table] = []
+    failed: list[str] = []
     for q in BUNDLE:
         if names and q.name not in names:
             continue
@@ -1240,11 +1249,11 @@ def run_scan(
             continue
         try:
             out.append(q.traversal(cpg))
-        except Exception:  # noqa: BLE001 — reference swallows query errors
-            # (`scan/package.scala:32-36`) and continues the scan
-            continue
+        except Exception as e:  # noqa: BLE001 — one query's error ends only that query
+            logger.warning("scan query %s failed: %s: %s", q.name, type(e).__name__, e)
+            failed.append(q.name)
     if not out:
-        return pa.table(
+        findings = pa.table(
             {
                 "name": pa.array([], pa.string()),
                 "url": pa.array([], pa.string()),
@@ -1252,4 +1261,6 @@ def run_scan(
                 "message": pa.array([], pa.string()),
             }
         )
-    return pa.concat_tables(out)
+    else:
+        findings = pa.concat_tables(out)
+    return findings.replace_schema_metadata({"failed_queries": json.dumps(failed)})

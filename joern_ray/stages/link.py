@@ -1457,7 +1457,9 @@ def salted_call_link(
     - dims carry their signature, so resolved fx=0 facts additionally get
       the EVAL_TYPE ret-type edge (`XTypeRecovery` cross-doc half).
 
-    Returns a Dataset of CALL/REF (+EVAL_TYPE) edge rows.
+    Returns a Dataset of CALL/REF (+EVAL_TYPE) edge rows and its block
+    count: the join's sort-based groupby emits one block per block of
+    its materialized input.
     """
     hot_arr = pa.array(sorted(hot_keys) or ["\x00none"])
 
@@ -1806,4 +1808,7 @@ def salted_call_link(
             )
         return parts[0] if len(parts) == 1 else pa.concat_tables(parts)
 
-    return union.groupby("key").map_groups(join_group, batch_format="pyarrow")
+    return (
+        union.groupby("key").map_groups(join_group, batch_format="pyarrow"),
+        union.num_blocks(),
+    )

@@ -85,6 +85,7 @@ def apply_passes(out_dir: str, passes: "list[CpgPass]", fingerprint: str):
     from ..io.checkpoint import _parquet_files, checkpoint, manifest_matches
     from ..pipelines.cpg import edges_paths, nodes_paths
     from ..query.dsl import Cpg
+    from ..schemas import EDGES_SCHEMA, NODES_SCHEMA
 
     ov_dir = os.path.join(out_dir, "overlays")
     os.makedirs(ov_dir, exist_ok=True)
@@ -120,6 +121,7 @@ def apply_passes(out_dir: str, passes: "list[CpgPass]", fingerprint: str):
                 path,
                 f"overlay:{spec.name}",
                 fingerprint,
+                schema=NODES_SCHEMA if spec.kind == "node" else EDGES_SCHEMA,
             )
             # record the declared partitioning assumption beside the data
             with open(os.path.join(path, "_spec.json"), "w") as f:

@@ -200,10 +200,9 @@ def test_groupby_runs_its_input_map_once(ray_session, tmp_path):
     assert calls.read_text() == "." * 10
 
 
-def test_edge_write_bound_counts_its_input_blocks(ray_session, tmp_path, monkeypatch):
-    """`_PAGES` reopens `Widget`, so `canonical_mt` exists and the link
-    scan reads two roots: the edge write's block bound `in_blocks` is
-    still the block count of the Dataset it sorts."""
+def _edge_write_bound(tmp_path, monkeypatch, force_shuffle_link: bool) -> None:
+    """Build `_PAGES` and check the edge write's block bound `in_blocks`
+    against the block count of the Dataset it sorts."""
     import joern_ray.pipelines.cpg as cpg
 
     seen: list = []
@@ -215,10 +214,28 @@ def test_edge_write_bound_counts_its_input_blocks(ray_session, tmp_path, monkeyp
 
     monkeypatch.setattr(cpg, "partitioned_write", checked)
     out = tmp_path / "cpg"
-    cpg.build_cpg(_docs_factory, str(out), "bound-1")
+    res = cpg.build_cpg(
+        _docs_factory, str(out), "bound-1", force_shuffle_link=force_shuffle_link
+    )
+    assert res["link_regime"] == ("salted_shuffle" if force_shuffle_link else "broadcast")
     assert (out / "canonical_mt").is_dir()
     [(in_blocks, sorted_blocks)] = seen
     assert in_blocks == sorted_blocks
+
+
+def test_edge_write_bound_counts_its_input_blocks(ray_session, tmp_path, monkeypatch):
+    """`_PAGES` reopens `Widget`, so `canonical_mt` exists and the link
+    scan reads two roots: the edge write's block bound `in_blocks` is
+    still the block count of the Dataset it sorts."""
+    _edge_write_bound(tmp_path, monkeypatch, force_shuffle_link=False)
+
+
+def test_salted_edge_write_bound_counts_its_input_blocks(
+    ray_session, tmp_path, monkeypatch
+):
+    """In the salted-shuffle regime the edge write sorts the union of
+    the salted join's output and the link scan: `in_blocks` counts both."""
+    _edge_write_bound(tmp_path, monkeypatch, force_shuffle_link=True)
 
 
 def test_link_scan_is_one_fused_read(ray_session, tmp_path, execution_plans):

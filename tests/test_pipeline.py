@@ -127,6 +127,39 @@ def test_splits_carry_only_declared_columns(cpg):
     assert {"dims/rk=node", "dims/rk=edge"} <= seen
 
 
+def test_every_file_follows_the_write_policy(cpg):
+    """Every Parquet file of every root is zstd-compressed throughout,
+    stores its 64-bit integer (id) columns without a dictionary and its
+    other columns with one, and each split file (`SplitSink`) is one
+    row group."""
+    import pyarrow.parquet as pq
+
+    out = cpg["out_dir"]
+    roots = set()
+    for dirpath, _dirs, names in os.walk(out):
+        for f in names:
+            if not f.endswith(".parquet"):
+                continue
+            path = os.path.join(dirpath, f)
+            root = os.path.relpath(path, out).split(os.sep)[0]
+            roots.add(root)
+            pf = pq.ParquetFile(path)
+            md = pf.metadata
+            if root in ("parse", "dims"):
+                assert md.num_row_groups == 1, path
+            for rg in range(md.num_row_groups):
+                for i in range(md.num_columns):
+                    col = md.row_group(rg).column(i)
+                    assert col.compression == "ZSTD", (path, col.path_in_schema)
+                    # a list column's leaf is `name.list.element`
+                    t = pf.schema_arrow.field(col.path_in_schema.split(".")[0]).type
+                    wide_int = pa.types.is_integer(t) and t.bit_width == 64
+                    assert col.has_dictionary_page != wide_int, (path, col.path_in_schema)
+    assert roots >= {
+        "parse", "dims", "edges", "survey_agg", "canonical_mt", "equivalences", "edges_astlink"
+    }
+
+
 def test_n_stubs_counts_dims_methods(cpg):
     """`n_stubs` is the METHOD rows of the dims' node split: the stubs of
     unresolved calls (this corpus calls library functions it never

@@ -84,3 +84,40 @@ def test_scan_to_sarif(cpg, tmp_path):
     doc = json.load(open(p))
     rules = {r["ruleId"] for r in doc["runs"][0]["results"]}
     assert "call-to-gets" in rules
+
+
+def test_scan_names_its_failed_queries(cpg, monkeypatch, caplog):
+    """A query that raises is logged at WARNING with its name and error
+    and listed in the findings' `failed_queries` metadata; every other
+    query's findings are unchanged."""
+    import dataclasses
+    import json
+    import logging
+
+    import joern_ray.query.scanners as scanners
+
+    def rows(t, drop=None):
+        return sorted(repr(r) for r in t.to_pylist() if r["name"] != drop)
+
+    before = scanners.run_scan(cpg)
+    assert json.loads(before.schema.metadata[b"failed_queries"]) == []
+
+    def boom(_cpg):
+        raise RuntimeError("planted failure")
+
+    monkeypatch.setattr(
+        scanners,
+        "BUNDLE",
+        tuple(
+            dataclasses.replace(q, traversal=boom) if q.name == "format-string" else q
+            for q in scanners.BUNDLE
+        ),
+    )
+    with caplog.at_level(logging.WARNING, logger="joern_ray.query.scanners"):
+        after = scanners.run_scan(cpg)
+    assert json.loads(after.schema.metadata[b"failed_queries"]) == ["format-string"]
+    [rec] = [r for r in caplog.records if r.name == "joern_ray.query.scanners"]
+    assert rec.levelno == logging.WARNING
+    assert "format-string" in rec.getMessage() and "planted failure" in rec.getMessage()
+    assert rows(after) == rows(before, drop="format-string")
+    assert "format-string" in before.column("name").to_pylist()
