@@ -256,10 +256,10 @@ def checkpoint(
     tasks, and most callers read a column subset or one split.
     `min_rows_per_file` (normally `ROWS_PER_FILE`) coalesces the output:
     a table Ray split into many blocks is otherwise written as many tiny
-    files.  `schema` is the output's declared schema: it picks the
-    `write_options`, and types a 0-row output without asking Ray, which
-    runs the lineage again to answer and has no schema to give after an
-    exchange of empty blocks.
+    files.  `schema`, the output's declared schema, is required unless
+    `splits` is given: it picks the `write_options`, and types a 0-row
+    output without asking Ray, which runs the lineage again to answer
+    and has no schema to give after an exchange of empty blocks.
     `splits` = `(column, {value: schema})` writes the output through
     `SplitSink` instead of `schema`, one typed subdirectory per value of
     `column`, so consumers of one kind scan only that kind's files; a
@@ -268,6 +268,8 @@ def checkpoint(
     """
     import shutil as _shutil
 
+    if schema is None and splits is None:
+        raise ValueError(f"checkpoint {stage}: give the output's schema, or its splits")
     if not manifest_matches(path, fingerprint):
         t0 = time.perf_counter()
         if os.path.isdir(path):  # stale/partial output: clear it

@@ -658,10 +658,12 @@ def _raw_fragments_ds(sf_dir: str):
             batch_format="pyarrow",
         )
 
-    # keep this tag in lockstep with _cpg_paths' corpus tag: the corpus
-    # generator is input, not parser code, so no fingerprint covers it
+    # keep the corpus part of this tag in lockstep with _cpg_paths': the
+    # corpus generator is input, not parser code, so no fingerprint
+    # covers it.  The suffix names the file encoding (`write_options`),
+    # so a cache written under an older one is rewritten, not reused.
     checkpoint(
-        factory, path, "fragments", f"corpus-{n}-seed42-v6", schema=FRAGMENTS_SCHEMA
+        factory, path, "fragments", f"corpus-{n}-seed42-v6/zstd", schema=FRAGMENTS_SCHEMA
     )
     return ray.data.read_parquet(path)
 

@@ -160,6 +160,19 @@ def test_every_file_follows_the_write_policy(cpg):
     }
 
 
+def test_checkpoint_needs_a_schema_or_splits(tmp_path):
+    """Without `splits`, `checkpoint` writes under the `write_options` of
+    the declared schema, so a call without one fails before running the
+    factory."""
+    from joern_ray.io.checkpoint import checkpoint
+
+    def factory():
+        raise AssertionError("ran the lineage")
+
+    with pytest.raises(ValueError, match="schema"):
+        checkpoint(factory, str(tmp_path / "root"), "stage", "fp")
+
+
 def test_n_stubs_counts_dims_methods(cpg):
     """`n_stubs` is the METHOD rows of the dims' node split: the stubs of
     unresolved calls (this corpus calls library functions it never
