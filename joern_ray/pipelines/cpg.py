@@ -34,10 +34,17 @@ duplicated class):
   beside it   from parse on, the equivalence chain's six (content hash,
               exact-dup aggregate, band signatures, bucket minimum,
               collapse-map collect, sorted write).
-The import-resolver and inheritance probes add executions only when
-their demand gates open.  Execution-launch overhead dominates small
-runs, so the count is a first-class design constraint
-(tests/test_build_executions.py holds the budget).  Checkpoints make
+The resolver passes probe the graph in at most two more executions,
+the same in both dyn regimes: ONE module-dimension scan of the node
+split and ONE (url, name) probe of canonical_mt, run only when an
+import-qualified inherited base or an imported call awaits resolution
+(the probe is skipped when the scan finds no module), and none
+otherwise.  `<ret:f>` recovery adds none: its signatures ride the
+projection pass and its known-method check is a survey read.  Past
+`DYN_DRIVER_GATE` the SAFEDISPATCH walk alone runs as Dataset joins.
+Execution-launch overhead dominates small runs, so the count is a
+first-class design constraint (tests/test_build_executions.py holds
+the budget).  Checkpoints make
 macro-stages resumable (reference overlay skip, `LayerCreator.scala:
 20-34`) and let downstream branches consume Parquet instead of
 re-executing Ray lineage.  Every exchange downstream of parse is sized
@@ -90,8 +97,10 @@ from ..io.checkpoint import (
 from ..schemas import EDGES_SCHEMA, NODES_SCHEMA, REJECTS_SCHEMA, rows_to_table
 from ..stages.extract import detect_fragments_batch
 from ..stages.link import (
-    CallLinker,
+    _ret_type_of,
+    build_dyn_candidates,
     canonicalize_group,
+    dyn_candidates_distributed,
     mapside_link_edges,
     namespace_id,
     salted_call_link,
@@ -99,6 +108,7 @@ from ..stages.link import (
     type_id,
 )
 from ..stages.parse import UNION_SCHEMA, parse_fragments_batch
+from ..util import worker_get
 
 logger = logging.getLogger(__name__)
 
@@ -185,27 +195,17 @@ def read_union_split(path: str, kind: str, columns: list[str] | None = None):
     )
 
 
-# Per-worker memo for broadcast key sets: plain TASKS (no pinned actor
-# CPUs — actor pools here starved concurrent Sort stages into deadlock at
-# low CPU counts), with the pa.array built once per worker process.
-_KEYSET_CACHE: dict = {}
+def _string_array(keys) -> pa.Array:
+    return pa.array(list(keys), pa.string())
 
 
 def keyset_split_fn(keys_ref, column: str, invert: bool = False):
     """Task UDF factory: keep rows whose `column` value is (or is not) in
-    the `ray.put` key set; closure carries only the ObjectRef."""
+    the `ray.put` key set; closure carries only the ObjectRef, and each
+    worker process builds the key array once (`util.worker_get`)."""
 
     def _fn(batch: pa.Table) -> pa.Table:
-        import ray
-
-        ck = keys_ref.hex() if hasattr(keys_ref, "hex") else str(id(keys_ref))
-        keys = _KEYSET_CACHE.get(ck)
-        if keys is None:
-            if len(_KEYSET_CACHE) > 4:
-                _KEYSET_CACHE.clear()
-            got = ray.get(keys_ref) if not isinstance(keys_ref, (set, frozenset)) else keys_ref
-            keys = pa.array(list(got), pa.string())
-            _KEYSET_CACHE[ck] = keys
+        keys = worker_get(keys_ref, _string_array)
         if len(keys) == 0:
             return batch if invert else batch.slice(0, 0)
         mask = pc.is_in(batch.column(column), value_set=keys)
@@ -221,11 +221,14 @@ def keyset_split_fn(keys_ref, column: str, invert: bool = False):
 #   td_dup   canonical id per duplicated class name (AstLinkerPass)
 #   dotted   TYPE_DECLs with an import-qualified inherits base
 #            (XInheritanceFullNamePass)
+#   sig      the signatures of the `<ret:f>` callees f (SymbolTable
+#            iteration 2)
 #   td_proj  TYPE_DECL hierarchy for the driver control plane
 #   index    METHOD + MEMBER rows for the broadcast link indexes
 _PROJ_COLS = {
     "td_dup": ["full_name", "id"],
     "dotted": ["id", "type_full_name"],
+    "sig": ["full_name", "signature"],
     "td_proj": ["label", "full_name", "type_full_name"],
     "index": ["label", "full_name", "id", "signature"],
 }
@@ -243,6 +246,7 @@ def canonical_projections(
     *,
     td_dup_fqns: frozenset,
     imported_ref,
+    ret_fns: frozenset,
     td_proj: bool,
     index: bool,
 ) -> dict[str, pa.Table]:
@@ -251,10 +255,12 @@ def canonical_projections(
     with the output they belong to, and the driver splits them by tag.
     An output is produced only when asked for — `td_dup` when
     `td_dup_fqns` is non-empty, `dotted` when `imported_ref` (a `ray.put`
-    set of imported module names) is given — so one Ray execution
-    replaces up to four separate scans.  Without a canonical table
-    (`canon_path` None) or any output asked for, nothing is scanned."""
-    td_arr = pa.array(sorted(td_dup_fqns), pa.string())
+    set of imported module names) is given, `sig` when `ret_fns` is
+    non-empty — so one Ray execution replaces up to five separate scans.
+    Without a canonical table (`canon_path` None) or any output asked
+    for, nothing is scanned."""
+    td_arr = _string_array(td_dup_fqns)
+    ret_arr = _string_array(ret_fns)
     ml = pa.array(["METHOD", "MEMBER"])
 
     def _tagged(b: pa.Table) -> pa.Table:
@@ -278,12 +284,7 @@ def canonical_projections(
             in_dup = pc.is_in(b.column("full_name"), value_set=td_arr)
             emit("td_dup", b.filter(pc.and_(is_td, in_dup)))
         if imported_ref is not None:
-            import ray as _ray
-
-            imps = _KEYSET_CACHE.get("s" + imported_ref.hex())
-            if imps is None:
-                imps = _ray.get(imported_ref)
-                _KEYSET_CACHE["s" + imported_ref.hex()] = imps
+            imps = worker_get(imported_ref)
             hit = b.filter(pc.and_(is_td, pc.match_substring(tfn, ".")))
             dotted = [
                 any(
@@ -293,13 +294,18 @@ def canonical_projections(
                 for v in hit.column("type_full_name").to_pylist()
             ]
             emit("dotted", hit.filter(pa.array(dotted, pa.bool_())))
+        if len(ret_arr):
+            in_ret = pc.is_in(b.column("full_name"), value_set=ret_arr)
+            emit("sig", b.filter(pc.and_(pc.equal(label, "METHOD"), in_ret)))
         if td_proj:
             emit("td_proj", b.filter(pc.and_(is_td, pc.not_equal(tfn, ""))))
         if index:
             emit("index", b.filter(pc.is_in(label, value_set=ml)))
         return pa.concat_tables(parts)
 
-    wanted = len(td_arr) or imported_ref is not None or td_proj or index
+    wanted = (
+        len(td_arr) or imported_ref is not None or len(ret_arr) or td_proj or index
+    )
     got = []
     if canon_path is not None and wanted:
         got = list(
@@ -310,6 +316,106 @@ def canonical_projections(
     rows = pa.concat_tables(got) if got else _PROJ_SCHEMA.empty_table()
     tag = rows.column("tag")
     return {k: rows.filter(pc.equal(tag, k)).select(c) for k, c in _PROJ_COLS.items()}
+
+
+def _collect(ds, hits) -> list[tuple]:
+    """The rows of the map `hits` over `ds`, as sorted tuples: ONE
+    streamed execution whose hits alone reach the driver."""
+    rows: list[tuple] = []
+    for b in ds.map_batches(hits, batch_format="pyarrow").iter_batches(
+        batch_format="pyarrow", batch_size=None
+    ):
+        rows += zip(*(c.to_pylist() for c in b.columns))
+    return sorted(rows)
+
+
+def _url_stem(url: str) -> str:
+    seg = url.rstrip("/").rsplit("/", 1)[-1].split("?")[0]
+    return seg.rsplit(".", 1)[0] if "." in seg else seg
+
+
+def module_dimension(nodes, mods: frozenset) -> dict[str, str]:
+    """The import resolver's module dimension, restricted to the module
+    names `mods`: module -> url of the doc defining it.  A FILE row
+    defines the module its url stem names (the reference's filename
+    convention), a NAMESPACE_BLOCK row the package it names (go).  A
+    FILE stem wins over a NAMESPACE_BLOCK name, then the smallest url.
+    `nodes`: the plain node split's (label, name, url) columns."""
+    import ray
+
+    mods_ref = ray.put(mods)
+
+    def _hits(b: pa.Table) -> pa.Table:
+        want = worker_get(mods_ref)
+        label = b.column("label")
+        files = b.filter(pc.equal(label, "FILE")).column("url").to_pylist()
+        rows = [(m, 0, u) for u in files if u and (m := _url_stem(u)) in want]
+        names = worker_get(mods_ref, _string_array)
+        ns = b.filter(
+            pc.and_(
+                pc.equal(label, "NAMESPACE_BLOCK"),
+                pc.is_in(b.column("name"), value_set=names),
+            )
+        )
+        rows += [
+            (n, 1, u)
+            for n, u in zip(ns.column("name").to_pylist(), ns.column("url").to_pylist())
+            if u
+        ]
+        mod, rank, url = zip(*rows) if rows else ((), (), ())
+        return pa.table(
+            {
+                "mod": pa.array(mod, pa.string()),
+                "rank": pa.array(rank, pa.int8()),
+                "url": pa.array(url, pa.string()),
+            }
+        )
+
+    dim: dict[str, str] = {}
+    for mod, _rank, url in _collect(nodes, _hits):
+        dim.setdefault(mod, url)
+    return dim
+
+
+def canonical_probe(canon, keys: frozenset) -> dict[tuple, list[str]]:
+    """(label, url, name) -> sorted full names of the canonical
+    METHOD/TYPE_DECL rows named `name` in the doc at `url`, for the
+    `keys` that have any.  `canon`: canonical_mt's (label, name,
+    full_name, url) columns.  A renamed duplicate TYPE_DECL
+    (`C<duplicate>k`) is no declaration to resolve to."""
+    import ray
+
+    keys_ref = ray.put(keys)
+    labels = pa.array(["METHOD", "TYPE_DECL"])
+
+    def _hits(b: pa.Table) -> pa.Table:
+        want = worker_get(keys_ref)
+        full_name = pc.coalesce(b.column("full_name"), pa.scalar(""))
+        dup_td = pc.and_(
+            pc.equal(b.column("label"), "TYPE_DECL"),
+            pc.match_substring(full_name, "<duplicate>"),
+        )
+        t = b.filter(
+            pc.and_(pc.is_in(b.column("label"), value_set=labels), pc.invert(dup_td))
+        )
+        keep = [
+            i
+            for i, k in enumerate(
+                zip(
+                    t.column("label").to_pylist(),
+                    t.column("url").to_pylist(),
+                    t.column("name").to_pylist(),
+                )
+            )
+            if k in want
+        ]
+        t = t.take(pa.array(keep, pa.int64()))
+        return t.select(["label", "url", "name", "full_name"])
+
+    out: dict[tuple, list[str]] = {}
+    for label, url, name, full_name in _collect(canon, _hits):
+        out.setdefault((label, url, name), []).append(full_name)
+    return out
 
 
 # what a build's tasks import on a worker: Ray Data and the modules
@@ -344,6 +450,10 @@ PARSE_BATCH_SIZE = 128
 # canonical METHOD count up to which calls link against a broadcast
 # fqn->id index; past it the salted shuffle join takes over
 BROADCAST_LIMIT = 2_000_000
+# distinct method + call fqns up to which the SAFEDISPATCH walk runs on
+# the driver over collected survey key sets; past it the distributed
+# INHERITS_FROM closure (`dyn_candidates_distributed`) takes over
+DYN_DRIVER_GATE = 20_000_000
 # call fqns at least this frequent are salted N_SALTS ways in the
 # shuffle join (the skewed malloc/printf/<operator> keys)
 HOT_KEY_THRESHOLD = 5_000
@@ -819,27 +929,54 @@ def _build_cpg(
         [canon_path] if n_mt else []
     )
 
-    # ---- one projection pass over canonical_mt ------------------------
-    # Every driver-side reader of the canonical table — AstLinkerPass's
-    # canonical class ids, XInheritanceFullNamePass's import-qualified
-    # bases, the driver control plane's hierarchy and the broadcast link
-    # indexes — takes its rows from ONE parallel streamed filter (a
-    # serial pads.to_table decoded the whole canon table on the driver —
-    # a fixed Amdahl term).  Which outputs it carries is known from the
-    # survey alone.
+    # ---- resolver want-sets, from the survey alone --------------------
+    # Filtered driver reads of survey_agg (like `_sv_keys` above: no Ray
+    # execution), each holding only the keys that await resolution:
+    #   imported  module names the corpus imports (`import a.b.C` imports
+    #             both `a.b.C` and `a.b`);
+    #   imp_want  ImportResolverPass: unresolved dotted calls `m.f` whose
+    #             prefix m is imported;
+    #   ret_want  SymbolTable iteration 2: `<ret:f>.g` calls, by f and g.
     td_dup_fqns = frozenset(_sv_keys(_f("td_c") >= 2))
     _imp_names = _sv_keys(_f("im_c") > 0)  # O(distinct imports)
     imported = {n.rsplit(".", 1)[0] if "." in n else n for n in _imp_names if n}
     imported |= {n for n in _imp_names if n}
     imp_ref = ray.put(frozenset(imported)) if imported else None
-    dyn_driver_gate = int(os.environ.get("JOERN_RAY_DYN_GATE", 20_000_000))
-    dyn_regime = (
-        "driver" if n_methods + n_calls <= dyn_driver_gate else "distributed"
+    imp_want = (
+        _sv_keys(
+            (_f("ca_c") > 0)
+            & (_f("m_c") == 0)
+            & pc.match_substring(_f("skey"), ".")
+            & pc.replace_substring_regex(
+                _f("skey"), pattern=r"\.[^.]*$", replacement=""
+            ).isin(sorted(imported))
+        )
+        if imported
+        else []
     )
+    ret_keys = _sv_keys((_f("ca_c") > 0) & pc.starts_with(_f("skey"), "<ret:"))
+    ret_want: dict[str, tuple[str, str]] = {}
+    for fqn in ret_keys:
+        f_name, sep, g_name = fqn[len("<ret:"):].partition(">.")
+        if sep and f_name and g_name:
+            ret_want[fqn] = (f_name, g_name)
+    dyn_regime = (
+        "driver" if n_methods + n_calls <= DYN_DRIVER_GATE else "distributed"
+    )
+
+    # ---- one projection pass over canonical_mt ------------------------
+    # Every driver-side reader of the canonical table — AstLinkerPass's
+    # canonical class ids, XInheritanceFullNamePass's import-qualified
+    # bases, the `<ret:f>` signatures, the driver control plane's
+    # hierarchy and the broadcast link indexes — takes its rows from ONE
+    # parallel streamed filter (a serial pads.to_table decoded the whole
+    # canon table on the driver — a fixed Amdahl term).  Which outputs it
+    # carries is known from the survey alone.
     proj = canonical_projections(
         canon_path if n_mt else None,
         td_dup_fqns=td_dup_fqns,
         imported_ref=imp_ref,
+        ret_fns=frozenset(f_name for f_name, _g in ret_want.values()),
         td_proj=dyn_regime == "driver",
         index=use_broadcast,
     )
@@ -877,155 +1014,70 @@ def _build_cpg(
         )
         write_manifest(astlink_path, "edges_astlink", parse_fp, 0.0)
 
-    # ---- stage: XInheritanceFullNamePass (cross-document) -------------
-    # (reference `x2cpg/.../frontend/XInheritanceFullNamePass.scala:
-    # 1-142`: short/import-qualified inherited names canonicalize to the
-    # declaring TYPE_DECL's full name).  `class C(zoo.D)` records the
-    # dotted base `zoo.D`; when `zoo` is an IMPORTED module the module
-    # dimension (import-resolver pathway) resolves it to its doc and the
-    # TYPE_DECL `D` defined there.  Produces (a) an alias map consumed
-    # by BOTH dyn-closure regimes so override resolution crosses the
-    # import, (b) corrective INHERITS_FROM edges (own tiny root).  The
-    # TYPE_DECLs with such a base come from the projection pass; the
-    # module and declaration probes below run only when there are any,
-    # as streamed small-set filters whose hits alone reach the driver.
-    inherit_alias: dict[str, str] = {}
-    _inherit_hits = list(
+    # ---- stage: module resolution -------------------------------------
+    # XInheritanceFullNamePass (reference `x2cpg/.../frontend/
+    # XInheritanceFullNamePass.scala:1-142`) and ImportResolverPass
+    # (`pysrc2cpg/ImportsPass + PythonImportResolverPass`) resolve an
+    # import-qualified name `m.n` the same way: the module dimension maps
+    # the imported module m to the doc defining it, and the declaration
+    # named n in that doc is the target — the TYPE_DECL for an inherited
+    # base (`class C(zoo.D)`), the METHOD for a call (`foo.bar()`; this
+    # covers what naive linking cannot: bar defined in several docs).
+    # ONE module-dimension scan and ONE (url, name) probe of canonical_mt
+    # serve both, run only when some name awaits resolution, and collect
+    # only hits.  Outputs: the alias map the dyn closure reads in BOTH
+    # regimes (so override resolution crosses the import), corrective
+    # INHERITS_FROM edges (own tiny root) and the import-resolved calls.
+    inherit_hits = list(
         zip(
             proj["dotted"].column("id").to_pylist(),
             proj["dotted"].column("type_full_name").to_pylist(),
         )
     )
-    if _inherit_hits:
-        want_bases = {
-            base
-            for _nid, tfn in _inherit_hits
-            for base in tfn.split(";")
-            if "." in base and base.rsplit(".", 1)[0] in imported
-        }
-        if want_bases:
-            _mods = {b.rsplit(".", 1)[0] for b in want_bases}
-            _mods_ref = ray.put(frozenset(_mods))
-
-            def _mod_scan(b: pa.Table) -> pa.Table:
-                import ray as _ray
-
-                mods = _KEYSET_CACHE.get("s" + _mods_ref.hex())
-                if mods is None:
-                    mods = _ray.get(_mods_ref)
-                    _KEYSET_CACHE["s" + _mods_ref.hex()] = mods
-                rows_m, rows_u = [], []
-                fl = b.filter(pc.equal(b.column("label"), "FILE"))
-                for u in fl.column("url").to_pylist():
-                    seg = (u or "").rstrip("/").rsplit("/", 1)[-1].split("?")[0]
-                    stem = seg.rsplit(".", 1)[0] if "." in seg else seg
-                    if stem in mods:
-                        rows_m.append(stem)
-                        rows_u.append(u)
-                ns = b.filter(
-                    pc.and_(
-                        pc.equal(b.column("label"), "NAMESPACE_BLOCK"),
-                        pc.is_in(
-                            pc.coalesce(b.column("name"), pa.scalar("")),
-                            value_set=pa.array(sorted(mods), pa.string()),
-                        ),
-                    )
-                )
-                rows_m += list(ns.column("name").to_pylist())
-                rows_u += list(ns.column("url").to_pylist())
-                return pa.table(
-                    {
-                        "mod": pa.array(rows_m, pa.string()),
-                        "url": pa.array(rows_u, pa.string()),
-                    }
-                )
-
-            _idim: dict[str, str] = {}
-            for m_, u_ in sorted(
-                (m_, u_)
-                for bb in read_union_split(
-                    parse_path, "node", ["label", "name", "url"]
-                )
-                .map_batches(_mod_scan, batch_format="pyarrow")
-                .iter_batches(batch_format="pyarrow", batch_size=None)
-                for m_, u_ in zip(
-                    bb.column("mod").to_pylist(), bb.column("url").to_pylist()
-                )
-            ):
-                _idim.setdefault(m_, u_)
-            _url_names = {
-                (_idim[b.rsplit(".", 1)[0]], b.rsplit(".", 1)[1])
-                for b in want_bases
-                if b.rsplit(".", 1)[0] in _idim
-            }
-            if _url_names:
-                _un_ref = ray.put(_url_names)
-
-                def _td_probe(b: pa.Table) -> pa.Table:
-                    import ray as _ray
-
-                    uns = _KEYSET_CACHE.get("s" + _un_ref.hex())
-                    if uns is None:
-                        uns = _ray.get(_un_ref)
-                        _KEYSET_CACHE["s" + _un_ref.hex()] = uns
-                    tt = b.filter(
-                        pc.and_(
-                            pc.equal(b.column("label"), "TYPE_DECL"),
-                            pc.invert(
-                                pc.match_substring(
-                                    pc.coalesce(b.column("full_name"), pa.scalar("")),
-                                    "<duplicate>",
-                                )
-                            ),
-                        )
-                    )
-                    keep = [
-                        i
-                        for i, (u_, n_) in enumerate(
-                            zip(
-                                tt.column("url").to_pylist(),
-                                tt.column("name").to_pylist(),
-                            )
-                        )
-                        if (u_, n_) in uns
-                    ]
-                    tt = tt.take(keep) if keep else tt.slice(0, 0)
-                    return pa.table(
-                        {
-                            "url": tt.column("url"),
-                            "name": tt.column("name"),
-                            "full_name": tt.column("full_name"),
-                        }
-                    )
-
-                _td_by: dict[tuple, str] = {}
-                for u_, n_, fn_ in sorted(
-                    (u_, n_, fn_)
-                    for bb in read_root(
-                        canon_path, ["label", "name", "full_name", "url"]
-                    )
-                    .map_batches(_td_probe, batch_format="pyarrow")
-                    .iter_batches(batch_format="pyarrow", batch_size=None)
-                    for u_, n_, fn_ in zip(
-                        bb.column("url").to_pylist(),
-                        bb.column("name").to_pylist(),
-                        bb.column("full_name").to_pylist(),
-                    )
-                ):
-                    _td_by.setdefault((u_, n_), fn_)
-                for b in want_bases:
-                    m_, t_ = b.rsplit(".", 1)
-                    if m_ in _idim and (_idim[m_], t_) in _td_by:
-                        cand = _td_by[(_idim[m_], t_)]
-                        if cand != b:
-                            inherit_alias[b] = cand
+    want_bases = {
+        base
+        for _nid, tfn in inherit_hits
+        for base in tfn.split(";")
+        if "." in base and base.rsplit(".", 1)[0] in imported
+    }
+    mods = frozenset(q.rsplit(".", 1)[0] for q in want_bases.union(imp_want))
+    module_dim = (
+        module_dimension(
+            read_union_split(parse_path, "node", ["label", "name", "url"]), mods
+        )
+        if mods
+        else {}
+    )
+    # (label, qualified name) -> the (label, url, name) of its declaration
+    decl_keys: dict[tuple[str, str], tuple[str, str, str]] = {}
+    for label, names in (("TYPE_DECL", want_bases), ("METHOD", imp_want)):
+        for q in names:
+            m_, n_ = q.rsplit(".", 1)
+            if m_ in module_dim:
+                decl_keys[label, q] = (label, module_dim[m_], n_)
+    declared = (
+        canonical_probe(
+            read_root(canon_path, ["label", "name", "full_name", "url"]),
+            frozenset(decl_keys.values()),
+        )
+        if decl_keys and n_mt
+        else {}
+    )
+    inherit_alias: dict[str, str] = {}
+    imp_resolved: dict[str, list[str]] = {}
+    for (label, q), key in decl_keys.items():
+        got = declared.get(key)
+        if got and label == "METHOD":
+            imp_resolved[q] = got
+        elif got and got[0] != q:
+            inherit_alias[q] = got[0]
     inherit_path = os.path.join(out_dir, "edges_inherit")
     if os.path.isdir(inherit_path):
         shutil.rmtree(inherit_path)
     if inherit_alias:
         _ie = sorted(
             (nid, type_id(inherit_alias[base]))
-            for nid, tfn in _inherit_hits
+            for nid, tfn in inherit_hits
             for base in tfn.split(";")
             if base in inherit_alias
         )
@@ -1047,22 +1099,17 @@ def _build_cpg(
     # SAFEDISPATCH dynamic dispatch) came out of the projection pass —
     # tiny (only declarations participating in inheritance).
     link_regime = "broadcast" if use_broadcast else "salted_shuffle"
-    from ..stages.link import (
-        build_dyn_candidates,
-        dyn_candidates_distributed,
-        dyn_table_to_map,
-    )
 
-    # Control plane (SAFEDISPATCH candidates + NaiveCallLinker).  Two
-    # regimes (parity-tested, tests/test_dynlink_distributed.py):
-    # - driver (below JOERN_RAY_DYN_GATE): collect the survey key sets
+    # Control plane.  Only the SAFEDISPATCH candidate walk, with its
+    # NaiveCallLinker entries, has two regimes (parity-tested,
+    # tests/test_dynlink_distributed.py):
+    # - driver (up to DYN_DRIVER_GATE): collect the survey key sets
     #   (O(distinct method+call FQNs)) and walk the hierarchy in-memory.
-    # - distributed (above the gate): the iterative INHERITS_FROM
-    #   self-join (SURVEY.md §2.4 row 3) — doubling closure over the
-    #   TYPE_DECL hierarchy + candidate/naive joins, all as Dataset
-    #   joins; only the RESULT (O(dyn candidate pairs), the broadcast
-    #   side both link regimes consume) reaches the driver.  Dynamic
-    #   dispatch no longer silently degrades past the gate.
+    # - distributed (past it): the iterative INHERITS_FROM self-join
+    #   (SURVEY.md §2.4 row 3) — doubling closure over the TYPE_DECL
+    #   hierarchy + candidate/naive joins, all as Dataset joins; only the
+    #   RESULT (O(dyn candidate pairs), the broadcast side both link
+    #   regimes consume) reaches the driver.
     def _apply_inherit_alias(t: pa.Table) -> pa.Table:
         """Rewrite ;-joined inherits lists through the cross-document
         alias map (unique-value rewrite + dictionary scatter) so the
@@ -1087,163 +1134,10 @@ def _build_cpg(
         )
 
     if dyn_regime == "driver":
-        td_proj = _apply_inherit_alias(proj["td_proj"])
-        known = frozenset(_sv_keys(_f("m_c") > 0))
-        ca_fqns = _sv_keys(_f("ca_c") > 0)
-        dyn_fqn = build_dyn_candidates(td_proj, ca_fqns, known)
-        # ImportResolverPass analog (reference `x2cpg/.../frontendspecific/
-        # pysrc2cpg/ImportsPass + PythonImportResolverPass`): build a
-        # (module path -> defining doc) dimension from FILE rows (url
-        # stem = module path, the reference's filename convention) and
-        # NAMESPACE_BLOCK package names (go), then resolve unresolved
-        # `m.f` calls whose prefix m is an IMPORTED module to the METHOD
-        # named f DEFINED IN that doc — candidates ride the dyn map so
-        # both link regimes emit the edges.  Runs before the naive
-        # fallback: module-precise resolution beats unique-name luck,
-        # and covers the case naive cannot (f defined in several docs).
-        # all projections STREAMED (distributed filter, only hits reach
-        # the driver) — a driver-side pads scan of the full node split
-        # decodes O(graph) string columns single-threaded (measured tens
-        # of seconds at 600k docs)
-        def _node_proj(keep_label: str, cols: list, extra=None):
-            def f(b: pa.Table) -> pa.Table:
-                m = pc.equal(b.column("label"), keep_label)
-                if extra is not None:
-                    m = pc.and_(m, extra(b))
-                return b.filter(m).select(cols)
-
-            out = []
-            for bb in (
-                read_union_split(parse_path, "node", ["label"] + cols)
-                .map_batches(f, batch_format="pyarrow")
-                .iter_batches(batch_format="pyarrow", batch_size=None)
-            ):
-                if bb.num_rows:
-                    out.append(bb)
-            return (
-                pa.concat_tables(out)
-                if out
-                else pa.table({c: pa.array([], pa.string()) for c in cols})
-            )
-
-        # demand gate BEFORE the module-dimension scans: only when some
-        # UNRESOLVED call actually carries an imported prefix do the
-        # FILE/NAMESPACE projections run (library includes like stdio.h
-        # are imported in every C corpus but resolve nothing — without
-        # this gate two node-split scans ran on every build, ~3s at
-        # sf0.1)
-        pre_want: dict[str, tuple[str, str]] = {}
-        if imported:
-            for fqn in ca_fqns:
-                if fqn in known or fqn in dyn_fqn or "." not in fqn:
-                    continue
-                mname, f = fqn.rsplit(".", 1)
-                if mname in imported:
-                    pre_want[fqn] = (mname, f)
-        if pre_want:
-            _file_t = _node_proj("FILE", ["url"])
-
-            def _stem(u: str) -> str:
-                seg = u.rstrip("/").rsplit("/", 1)[-1].split("?")[0]
-                return seg.rsplit(".", 1)[0] if "." in seg else seg
-
-            module_dim: dict[str, str] = {}
-            for u in sorted(set(_file_t.column("url").to_pylist())):
-                module_dim.setdefault(_stem(u), u)
-            _ns_t = _node_proj(
-                "NAMESPACE_BLOCK",
-                ["name", "url"],
-                extra=lambda b: pc.not_equal(
-                    pc.coalesce(b.column("name"), pa.scalar("")), "<global>"
-                ),
-            )
-            for nm, u in sorted(
-                zip(_ns_t.column("name").to_pylist(), _ns_t.column("url").to_pylist())
-            ):
-                if nm and u:
-                    module_dim.setdefault(nm, u)
-            want: dict[str, tuple[str, str]] = {
-                fqn: (module_dim[mname], f)
-                for fqn, (mname, f) in pre_want.items()
-                if mname in module_dim
-            }
-            if want and n_mt:
-                _urls = pa.array(sorted({u for u, _f2 in want.values()}), pa.string())
-                _meth_t = pads.dataset(canon_path, format="parquet").to_table(
-                    columns=["label", "name", "full_name", "url"],
-                    filter=(pads.field("label") == "METHOD")
-                    & pads.field("url").isin(_urls),
-                )
-                by_url_name: dict[tuple[str, str], list[str]] = {}
-                for u, nm, fn_ in sorted(
-                    zip(
-                        _meth_t.column("url").to_pylist(),
-                        _meth_t.column("name").to_pylist(),
-                        _meth_t.column("full_name").to_pylist(),
-                    )
-                ):
-                    by_url_name.setdefault((u, nm), []).append(fn_)
-                for fqn, (u, f) in want.items():
-                    cands = by_url_name.get((u, f))
-                    if cands:
-                        dyn_fqn[fqn] = cands
-        # SymbolTable iteration 2 (reference `XTypeRecovery.scala:25,
-        # 151-177` runs exactly two passes so linker-recovered RETURN
-        # types feed back into receiver typing): `x = f(); x.g()`
-        # surfaces as the symbolic call fqn `<ret:f>.g`; resolve f's
-        # return type T off the canonical method signatures and emit
-        # the `T.g` candidate — a resolution iteration 1 cannot make
-        # when f lives in another document.
-        _ret_want: dict[str, tuple[str, str]] = {}
-        for fqn in ca_fqns:
-            if fqn.startswith("<ret:") and ">." in fqn and fqn not in dyn_fqn:
-                f_name = fqn[len("<ret:"):fqn.index(">.")]
-                g_name = fqn[fqn.index(">.") + 2:]
-                if f_name in known and g_name:
-                    _ret_want[fqn] = (f_name, g_name)
-        if _ret_want and n_mt:
-            from ..stages.link import _ret_type_of
-
-            _farr = pa.array(sorted({f for f, _g in _ret_want.values()}), pa.string())
-            _sig_t = pads.dataset(canon_path, format="parquet").to_table(
-                columns=["label", "full_name", "signature"],
-                filter=(pads.field("label") == "METHOD")
-                & pads.field("full_name").isin(_farr),
-            )
-            _sig_by_fqn = dict(
-                zip(
-                    _sig_t.column("full_name").to_pylist(),
-                    _sig_t.column("signature").to_pylist(),
-                )
-            )
-            for fqn, (f_name, g_name) in _ret_want.items():
-                rt = _ret_type_of(_sig_by_fqn.get(f_name))
-                if rt:
-                    cand = f"{rt}.{g_name}"
-                    if cand in known:
-                        dyn_fqn[fqn] = [cand]
-        # NaiveCallLinker fallback (reference `NaiveCallLinker.scala:
-        # 12-29`): a dotted call fqn that neither resolves by full name
-        # nor by dynamic dispatch links to the UNIQUE known method
-        # sharing its terminal name (ambiguous names stay stubs).
-        # Riding the dyn-candidate machinery makes both link regimes
-        # handle it identically.
-        name_to_fqns: dict[str, list[str]] = {}
-        for f in known:
-            name_to_fqns.setdefault(f.rsplit(".", 1)[-1], []).append(f)
-        for fqn in ca_fqns:
-            if (
-                fqn in known
-                or fqn in dyn_fqn
-                or "." not in fqn
-                or fqn.startswith("<operator>")
-            ):
-                continue
-            cands = name_to_fqns.get(fqn.rsplit(".", 1)[-1])
-            if cands and len(cands) == 1:
-                dyn_fqn[fqn] = [cands[0]]
-        unres_ret = any(
-            f.startswith("<ret:") and f not in dyn_fqn for f in ca_fqns
+        dispatch, naive = build_dyn_candidates(
+            _apply_inherit_alias(proj["td_proj"]),
+            _sv_keys(_f("ca_c") > 0),
+            frozenset(_sv_keys(_f("m_c") > 0)),
         )
     else:
         if n_mt:
@@ -1287,246 +1181,45 @@ def _build_cpg(
             return f
 
         sv_cols = read_root(svagg_path, ["skey", "m_c", "ca_c"])
-        dyn_fqn = dyn_table_to_map(
-            dyn_candidates_distributed(
-                td_ds,
-                sv_cols.map_batches(_skey_pick("ca_c"), batch_format="pyarrow"),
-                sv_cols.map_batches(_skey_pick("m_c"), batch_format="pyarrow"),
-                num_partitions=width,
-            )
+        dispatch, naive = dyn_candidates_distributed(
+            td_ds,
+            sv_cols.map_batches(_skey_pick("ca_c"), batch_format="pyarrow"),
+            sv_cols.map_batches(_skey_pick("m_c"), batch_format="pyarrow"),
+            num_partitions=width,
         )
-        # Import-resolver + <ret:f> iteration-2 in the DISTRIBUTED
-        # regime: every probe set here is SMALL (distinct import names,
-        # ret-hint fqns, resolved module urls), so each step is a
-        # streamed broadcast-filtered scan collecting only hits — the
-        # driver never holds anything of O(fqns) or O(docs).
-        dyn_keyset = frozenset(dyn_fqn)
-        if imported:
-            # unresolved dotted call fqns whose PREFIX is imported —
-            # streamed over the survey, only hits collected
-            def _want_pick(b: pa.Table) -> pa.Table:
-                import ray as _ray
-
-                imps = _KEYSET_CACHE.get("s" + imp_ref.hex())
-                if imps is None:
-                    imps = _ray.get(imp_ref)
-                    _KEYSET_CACHE["s" + imp_ref.hex()] = imps
-                hit = b.filter(
-                    pc.and_(pc.greater(b.column("ca_c"), 0), pc.equal(b.column("m_c"), 0))
-                )
-                keep = [
-                    k
-                    for k in hit.column("skey").to_pylist()
-                    if k and "." in k and k.rsplit(".", 1)[0] in imps
-                ]
-                return pa.table({"fqn": pa.array(keep, pa.string())})
-
-            want_fqns = sorted(
-                set(
-                    x
-                    for bb in read_root(svagg_path, ["skey", "m_c", "ca_c"])
-                    .map_batches(_want_pick, batch_format="pyarrow")
-                    .iter_batches(batch_format="pyarrow", batch_size=None)
-                    for x in bb.column("fqn").to_pylist()
-                )
-                - dyn_keyset
-            )
-            if want_fqns:
-                # module dim restricted to the imported names: streamed
-                # FILE-stem + NAMESPACE_BLOCK scans, only matches collected
-                def _mod_pick(b: pa.Table) -> pa.Table:
-                    import ray as _ray
-
-                    imps = _KEYSET_CACHE.get("s" + imp_ref.hex())
-                    if imps is None:
-                        imps = _ray.get(imp_ref)
-                        _KEYSET_CACHE["s" + imp_ref.hex()] = imps
-                    rows_m, rows_u = [], []
-                    fl = b.filter(pc.equal(b.column("label"), "FILE"))
-                    for u in fl.column("url").to_pylist():
-                        seg = (u or "").rstrip("/").rsplit("/", 1)[-1].split("?")[0]
-                        stem = seg.rsplit(".", 1)[0] if "." in seg else seg
-                        if stem in imps:
-                            rows_m.append(stem)
-                            rows_u.append(u)
-                    ns = b.filter(
-                        pc.and_(
-                            pc.equal(b.column("label"), "NAMESPACE_BLOCK"),
-                            pc.is_in(
-                                pc.coalesce(b.column("name"), pa.scalar("")),
-                                value_set=pa.array(sorted(imps), pa.string()),
-                            ),
-                        )
-                    )
-                    rows_m += [n_ for n_ in ns.column("name").to_pylist()]
-                    rows_u += [u_ for u_ in ns.column("url").to_pylist()]
-                    return pa.table(
-                        {
-                            "mod": pa.array(rows_m, pa.string()),
-                            "url": pa.array(rows_u, pa.string()),
-                        }
-                    )
-
-                module_dim: dict[str, str] = {}
-                pairs = sorted(
-                    (m_, u_)
-                    for bb in read_union_split(
-                        parse_path, "node", ["label", "name", "url"]
-                    )
-                    .map_batches(_mod_pick, batch_format="pyarrow")
-                    .iter_batches(batch_format="pyarrow", batch_size=None)
-                    for m_, u_ in zip(
-                        bb.column("mod").to_pylist(), bb.column("url").to_pylist()
-                    )
-                )
-                for m_, u_ in pairs:
-                    module_dim.setdefault(m_, u_)
-                want = {
-                    fqn: (module_dim[fqn.rsplit(".", 1)[0]], fqn.rsplit(".", 1)[1])
-                    for fqn in want_fqns
-                    if fqn.rsplit(".", 1)[0] in module_dim
-                }
-                if want and n_mt:
-                    url_name = {(u_, f_) for u_, f_ in want.values()}
-                    un_ref = ray.put(url_name)
-
-                    def _meth_pick(b: pa.Table) -> pa.Table:
-                        import ray as _ray
-
-                        uns = _KEYSET_CACHE.get("s" + un_ref.hex())
-                        if uns is None:
-                            uns = _ray.get(un_ref)
-                            _KEYSET_CACHE["s" + un_ref.hex()] = uns
-                        mm = b.filter(pc.equal(b.column("label"), "METHOD"))
-                        keep = [
-                            i
-                            for i, (u_, n_) in enumerate(
-                                zip(
-                                    mm.column("url").to_pylist(),
-                                    mm.column("name").to_pylist(),
-                                )
-                            )
-                            if (u_, n_) in uns
-                        ]
-                        mm = mm.take(keep) if keep else mm.slice(0, 0)
-                        return pa.table(
-                            {
-                                "url": mm.column("url"),
-                                "name": mm.column("name"),
-                                "full_name": mm.column("full_name"),
-                            }
-                        )
-
-                    by_url_name: dict[tuple, list] = {}
-                    rows = sorted(
-                        (u_, n_, fn_)
-                        for bb in read_root(
-                            canon_path, ["label", "name", "full_name", "url"]
-                        )
-                        .map_batches(_meth_pick, batch_format="pyarrow")
-                        .iter_batches(batch_format="pyarrow", batch_size=None)
-                        for u_, n_, fn_ in zip(
-                            bb.column("url").to_pylist(),
-                            bb.column("name").to_pylist(),
-                            bb.column("full_name").to_pylist(),
-                        )
-                    )
-                    for u_, n_, fn_ in rows:
-                        by_url_name.setdefault((u_, n_), []).append(fn_)
-                    for fqn, (u_, f_) in want.items():
-                        cands = by_url_name.get((u_, f_))
-                        if cands:
-                            dyn_fqn[fqn] = cands
-        # <ret:f>.g keys — streamed prefix filter over the survey
-        def _ret_pick(b: pa.Table) -> pa.Table:
-            hit = b.filter(
-                pc.and_(
-                    pc.greater(b.column("ca_c"), 0),
-                    pc.starts_with(
-                        pc.coalesce(b.column("skey"), pa.scalar("")), "<ret:"
-                    ),
-                )
-            )
-            return pa.table({"fqn": hit.column("skey")})
-
-        _ret_fqns = sorted(
-            set(
-                x
-                for bb in read_root(svagg_path, ["skey", "ca_c"])
-                .map_batches(_ret_pick, batch_format="pyarrow")
-                .iter_batches(batch_format="pyarrow", batch_size=None)
-                for x in bb.column("fqn").to_pylist()
-            )
-            - frozenset(dyn_fqn)
+    # SymbolTable iteration 2 (reference `XTypeRecovery.scala:25,
+    # 151-177` runs exactly two passes so linker-recovered RETURN types
+    # feed back into receiver typing): `x = f(); x.g()` surfaces as the
+    # symbolic call fqn `<ret:f>.g`; f's return type T, off its canonical
+    # signature (the projection pass's `sig` rows), names the candidate
+    # `T.g`, kept when T.g is a known method (a filtered survey read) —
+    # a resolution iteration 1 cannot make when f lives in another doc.
+    sigs = dict(
+        zip(
+            proj["sig"].column("full_name").to_pylist(),
+            proj["sig"].column("signature").to_pylist(),
         )
-        _ret_want2: dict[str, tuple[str, str]] = {}
-        for fqn in _ret_fqns:
-            if ">." in fqn:
-                f_name = fqn[len("<ret:"):fqn.index(">.")]
-                g_name = fqn[fqn.index(">.") + 2:]
-                if f_name and g_name:
-                    _ret_want2[fqn] = (f_name, g_name)
-        if _ret_want2 and n_mt:
-            from ..stages.link import _ret_type_of
-
-            _fset = pa.array(sorted({f_ for f_, _g in _ret_want2.values()}), pa.string())
-
-            def _sig_pick(b: pa.Table) -> pa.Table:
-                mm = b.filter(
-                    pc.and_(
-                        pc.equal(b.column("label"), "METHOD"),
-                        pc.is_in(b.column("full_name"), value_set=_fset),
-                    )
-                )
-                return pa.table(
-                    {
-                        "full_name": mm.column("full_name"),
-                        "signature": mm.column("signature"),
-                    }
-                )
-
-            _sig_by = {}
-            for bb in (
-                read_root(canon_path, ["label", "full_name", "signature"])
-                .map_batches(_sig_pick, batch_format="pyarrow")
-                .iter_batches(batch_format="pyarrow", batch_size=None)
-            ):
-                _sig_by.update(
-                    zip(
-                        bb.column("full_name").to_pylist(),
-                        bb.column("signature").to_pylist(),
-                    )
-                )
-            # known-membership for the candidate: cand must be a real
-            # method — verify via a second tiny streamed filter
-            _cands = {}
-            for fqn, (f_name, g_name) in _ret_want2.items():
-                rt = _ret_type_of(_sig_by.get(f_name))
-                if rt:
-                    _cands[fqn] = f"{rt}.{g_name}"
-            if _cands:
-                _carr = pa.array(sorted(set(_cands.values())), pa.string())
-
-                def _known_pick(b: pa.Table) -> pa.Table:
-                    mm = b.filter(
-                        pc.and_(
-                            pc.equal(b.column("label"), "METHOD"),
-                            pc.is_in(b.column("full_name"), value_set=_carr),
-                        )
-                    )
-                    return pa.table({"full_name": mm.column("full_name")})
-
-                _known_c: set = set()
-                for bb in (
-                    read_root(canon_path, ["label", "full_name"])
-                    .map_batches(_known_pick, batch_format="pyarrow")
-                    .iter_batches(batch_format="pyarrow", batch_size=None)
-                ):
-                    _known_c.update(bb.column("full_name").to_pylist())
-                for fqn, cand in _cands.items():
-                    if cand in _known_c:
-                        dyn_fqn[fqn] = [cand]
-        unres_ret = any(f not in dyn_fqn for f in _ret_fqns)
+    )
+    ret_cands = {}
+    for fqn, (f_name, g_name) in ret_want.items():
+        rt = _ret_type_of(sigs.get(f_name))
+        if rt:
+            ret_cands[fqn] = f"{rt}.{g_name}"
+    known_c = set(
+        _sv_keys((_f("m_c") > 0) & _f("skey").isin(sorted(set(ret_cands.values()))))
+        if ret_cands
+        else ()
+    )
+    ret_resolved = {fqn: [c] for fqn, c in ret_cands.items() if c in known_c}
+    # ONE merge, in the reference's pass order (ImportResolver and
+    # TypeRecovery before NaiveCallLinker, `NaiveCallLinker.scala:12-29`
+    # last): SAFEDISPATCH, then the import and `<ret:>` resolutions, then
+    # naive — the first resolver to claim a call fqn keeps it
+    dyn_fqn = dict(dispatch)
+    for resolved in (imp_resolved, ret_resolved, naive):
+        for fqn, cands in resolved.items():
+            dyn_fqn.setdefault(fqn, cands)
+    unres_ret = any(k not in dyn_fqn for k in ret_keys)
     dyn_ref = ray.put(dyn_fqn)
     if use_broadcast:
         # broadcast regime: collect ONLY the 3-column method index
@@ -1639,8 +1332,6 @@ def _build_cpg(
         )
 
         def _dims_batch(b: pa.Table) -> pa.Table:
-            import ray as _ray
-
             keys = b.column("skey").cast(pa.string())
             out = []
             ty = b.filter(pc.greater(b.column("ty_c"), 0))
@@ -1684,10 +1375,7 @@ def _build_cpg(
             # names (ADVICE r4): they collapse onto the single
             # <unknownFullName> stub emitted with meta_t below
             keep = pc.and_(keep, pc.invert(pc.starts_with(keys, "<ret:")))
-            dk = _KEYSET_CACHE.get(dyn_keys_ref.hex())
-            if dk is None:
-                dk = _ray.get(dyn_keys_ref)
-                _KEYSET_CACHE[dyn_keys_ref.hex()] = dk
+            dk = worker_get(dyn_keys_ref)
             if len(dk):
                 keep = pc.and_(keep, pc.invert(pc.is_in(keys, value_set=dk)))
             s = b.filter(keep)
@@ -1808,18 +1496,13 @@ def _build_cpg(
     # even with an empty side — breaks streaming fusion of the link
     # scan (measured 74s -> 137s materialize at 8 CPUs).
     def _spec_ast(b: pa.Table) -> pa.Table:
-        import ray as _ray
-
         keep = pc.and_(
             pc.and_(
                 pc.greater(b.column("th_c"), 0), pc.equal(b.column("m_c"), 0)
             ),
             pc.equal(b.column("ca_c"), 0),
         )
-        dk = _KEYSET_CACHE.get(dyn_keys_ref.hex())
-        if dk is None:
-            dk = _ray.get(dyn_keys_ref)
-            _KEYSET_CACHE[dyn_keys_ref.hex()] = dk
+        dk = worker_get(dyn_keys_ref)
         if len(dk):
             keep = pc.and_(
                 keep,

@@ -22,7 +22,7 @@ Scale shapes:
 from __future__ import annotations
 
 from ..functions.hashing import hash64
-from ..util import resolve_pool
+from ..util import resolve_pool, worker_get
 
 import numpy as np
 import pyarrow as pa
@@ -542,18 +542,10 @@ def minhash_dedup(
         sv_ = np.array(dup_rep, dtype=np.int64)
         _ord = np.argsort(sk_)
         dup_ref = ray.put((sk_[_ord], sv_[_ord]))
-        dup_key = dup_ref.hex()
-
-        def _dup_arrays():
-            got = _MINHASHER_MEMO.get(dup_key)
-            if got is None:
-                got = ray.get(dup_ref)
-                _MINHASHER_MEMO[dup_key] = got
-            return got
 
         def assign_rep(batch: pa.Table) -> pa.Table:
             """(id, chash) -> (id, rep): rep = dup map hit else self."""
-            sk, sv = _dup_arrays()
+            sk, sv = worker_get(dup_ref)
             ids = batch.column(id_col).combine_chunks().to_numpy(zero_copy_only=False).astype(np.int64)
             ch = batch.column("chash").combine_chunks().to_numpy(zero_copy_only=False).astype(np.uint64)
             if len(sk):
@@ -573,7 +565,7 @@ def minhash_dedup(
         def rep_filter(batch: pa.Table) -> pa.Table:
             """Keep exactly one row per distinct content: dup-map miss
             (unique content) or the min-id member of a dup group."""
-            sk, sv = _dup_arrays()
+            sk, sv = worker_get(dup_ref)
             ch = (
                 add_content_hash(batch, text_col, "__ch")
                 .column("__ch")
@@ -693,13 +685,9 @@ def minhash_dedup(
             o = np.argsort(bk)
             per_band[int(bd)] = (bk[o], mv[o])
         bmin_ref = ray.put(per_band)
-        bmin_key = bmin_ref.hex()
 
         def pickup(batch: pa.Table) -> pa.Table:
-            pb = _MINHASHER_MEMO.get(bmin_key)
-            if pb is None:
-                pb = ray.get(bmin_ref)
-                _MINHASHER_MEMO[bmin_key] = pb
+            pb = worker_get(bmin_ref)
             ids = (
                 batch.column(id_col)
                 .combine_chunks()
@@ -780,18 +768,13 @@ def minhash_dedup(
         cv_np = np.array(list(cmap.values()), dtype=np.int64)
         _order = np.argsort(ck_np)
         cmap_ref = ray.put((ck_np[_order], cv_np[_order]))
-        cmap_key = cmap_ref.hex()
 
         # numpy searchsorted lookup (NOT pc.index_in/take: take over a
         # null-bearing chunked index array returned corrupted values
         # inside Ray workers — observed zeros fabricated from clean
         # inputs)
         def finalize(batch: pa.Table) -> pa.Table:
-            got = _MINHASHER_MEMO.get(cmap_key)
-            if got is None:
-                got = ray.get(cmap_ref)
-                _MINHASHER_MEMO[cmap_key] = got
-            sk, sv = got
+            sk, sv = worker_get(cmap_ref)
             rep = batch.column("rep").combine_chunks()
             rep_np = rep.to_numpy(zero_copy_only=False).astype(np.int64)
             if len(sk):

@@ -33,6 +33,7 @@ import pyarrow.compute as pc
 
 from ..functions.hashing import hash64
 from ..schemas import EDGES_SCHEMA, NODES_SCHEMA
+from ..util import worker_get
 
 # Labels whose rows get SOURCE_FILE edges (reference `FileCreationPass`
 # links METHOD/TYPE_DECL/NAMESPACE_BLOCK to FILE).
@@ -443,7 +444,7 @@ class CallLinker:
 
 def build_dyn_candidates(
     type_decls: "pa.Table", call_fqns, known, max_depth: int = 16
-) -> dict[str, list[str]]:
+) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
     """SAFEDISPATCH candidate sets (reference `DynamicCallLinker.scala:
     29-221`): for call fqn "T.m" — T's own (or nearest superclass,
     fallback :146-171) definition first, then every subclass override
@@ -452,12 +453,16 @@ def build_dyn_candidates(
     `type_decls`: TYPE_DECL rows (full_name + ;-joined inherits in
     type_full_name) — only rows participating in inheritance matter, so
     callers may pre-filter to non-empty type_full_name.  `known` is the
-    canonical METHOD full-name set (membership only).  Returns fqn ->
-    [candidate method fqns] (strings, regime-agnostic: the broadcast
-    linker maps them to ids via its index; the salted join re-keys fact
-    rows by candidate fqn).  Closure is an iterative walk bounded by
-    hierarchy depth — the distributed analog would be the iterative
-    INHERITS_FROM self-join (SURVEY.md §2.4)."""
+    canonical METHOD full-name set (membership only).  Returns two maps
+    fqn -> [candidate method fqns] (strings, regime-agnostic: the
+    broadcast linker maps them to ids via its index; the salted join
+    re-keys fact rows by candidate fqn): the SAFEDISPATCH sets, and the
+    NaiveCallLinker entries (`NaiveCallLinker.scala:12-29`: a dotted
+    call fqn neither known nor dispatched links to the UNIQUE known
+    method sharing its terminal name), which rank below every other
+    resolver.  Closure is an iterative walk bounded by hierarchy depth;
+    `dyn_candidates_distributed` is the INHERITS_FROM self-join analog
+    (SURVEY.md §2.4)."""
     parents: dict[str, list[str]] = {}
     children: dict[str, list[str]] = {}
     for fqn, tfl in zip(
@@ -517,7 +522,18 @@ def build_dyn_candidates(
             dyn[fqn] = cands
         elif cands and fqn not in known:
             dyn[fqn] = cands  # pure superclass-fallback resolution
-    return dyn
+
+    by_name: dict[str, list[str]] = {}
+    for f in known:
+        by_name.setdefault(f.rsplit(".", 1)[-1], []).append(f)
+    naive: dict[str, list[str]] = {}
+    for fqn in call_fqns:
+        if fqn in known or fqn in dyn or "." not in fqn or fqn.startswith("<operator>"):
+            continue
+        cands = by_name.get(fqn.rsplit(".", 1)[-1])
+        if cands and len(cands) == 1:
+            naive[fqn] = cands
+    return dyn, naive
 
 
 def _dedup_pairs(ds, keys, num_buckets: int):
@@ -534,9 +550,10 @@ def dyn_candidates_distributed(
     td_ds,
     calls_ds,
     methods_ds,
+    *,
+    num_partitions: int,
     max_depth: int = 16,
-    num_partitions: int | None = None,
-) -> pa.Table:
+) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
     """Distributed SAFEDISPATCH candidate construction — the over-gate
     regime of `build_dyn_candidates` (reference `DynamicCallLinker.scala:
     29-221`; SURVEY.md §2.4 row 3's iterative INHERITS_FROM self-join).
@@ -552,20 +569,18 @@ def dyn_candidates_distributed(
     rank) pairs for calls that actually participate in dynamic dispatch,
     O(dyn pairs), orders of magnitude below O(distinct fqns) — is
     collected, because both link regimes consume the candidate map as a
-    broadcast side.  Returns a pa.Table (fqn, cand, rank) with rank
-    0=self, 1=superclass fallback, 2=subclass override, 3=naive
-    unique-name; `build_dyn_candidates`-parity is asserted by
-    tests/test_dynlink_distributed.py."""
+    broadcast side.  Returns `build_dyn_candidates`' two maps, from
+    (fqn, cand, rank) rows with rank 0=self, 1=superclass fallback,
+    2=subclass override (the SAFEDISPATCH map) and 3=naive unique-name
+    (the NaiveCallLinker map); parity is asserted by
+    tests/test_dynlink_distributed.py.  `num_partitions` is the
+    exchange width (`io.checkpoint.exchange_width`)."""
     import math
 
     import polars as pl
-    import ray
 
     from ..util import bucketed_join
 
-    if num_partitions is None:
-        n_cpu = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-        num_partitions = max(2, min(16, n_cpu))
     nb = num_partitions
 
     def _unlarge(t: pa.Table) -> pa.Table:
@@ -622,14 +637,6 @@ def dyn_candidates_distributed(
         )
         return _unlarge(out.to_arrow())
 
-    _EMPTY_OUT = pa.table(
-        {
-            "fqn": pa.array([], pa.string()),
-            "cand": pa.array([], pa.string()),
-            "rank": pa.array([], pa.int64()),
-        }
-    )
-
     # ---- call split (fqn -> receiver type t + terminal m) -------------
     def split_calls(b: pa.Table) -> pa.Table:
         df = pl.from_arrow(b).filter(
@@ -651,7 +658,7 @@ def dyn_candidates_distributed(
     # intermediate datasets also produce schema-less join blocks that
     # crash downstream joins (dedup.py gotcha), so short-circuit early
     if calls.count() == 0 or meth.count() == 0:
-        return _EMPTY_OUT
+        return {}, {}
 
     P = td_ds.map_batches(explode_parents, batch_format="pyarrow").materialize()
     rounds = max(1, math.ceil(math.log2(max_depth)))
@@ -1019,15 +1026,23 @@ def dyn_candidates_distributed(
     final = dyn_rows
     if naive is not None:
         final = naive if final is None else final.union(naive)
-    if final is None:
-        return _EMPTY_OUT
-    out_parts: list[pa.Table] = []
-    for b in final.iter_batches(batch_format="pyarrow", batch_size=None):
-        if b.num_rows:
-            out_parts.append(b.select(["fqn", "cand", "rank"]))
-    if not out_parts:
-        return _EMPTY_OUT
-    return pa.concat_tables(out_parts)
+    rows = []
+    if final is not None:
+        for b in final.iter_batches(batch_format="pyarrow", batch_size=None):
+            rows += zip(
+                b.column("fqn").to_pylist(),
+                b.column("rank").to_pylist(),
+                b.column("cand").to_pylist(),
+            )
+    # fqn -> ordered candidate list: self / fallback first, then sorted
+    # subclass overrides (the `build_dyn_candidates` order)
+    dyn: dict[str, list[str]] = {}
+    naive_map: dict[str, list[str]] = {}
+    for fqn, rank, cand in sorted(rows):
+        lst = (naive_map if rank == 3 else dyn).setdefault(fqn, [])
+        if cand not in lst:
+            lst.append(cand)
+    return dyn, naive_map
 
 
 def ast_link_cross_fragment(
@@ -1180,10 +1195,7 @@ def ast_link_cross_fragment(
         ch = ch.filter(pc.is_in(ch.column("key"), value_set=dup_keys))
         if ch.num_rows == 0:
             return EDGES_SCHEMA.empty_table()
-        cm = _KEYSET_CACHE_AL.get(canon_ref.hex())
-        if cm is None:
-            cm = ray.get(canon_ref)
-            _KEYSET_CACHE_AL[canon_ref.hex()] = cm
+        cm = worker_get(canon_ref)
         # scatter the canonical ids per DISTINCT parent name
         d = pc.dictionary_encode(ch.column("c_parent").combine_chunks())
         uniq_ids = np.array(
@@ -1209,28 +1221,6 @@ def ast_link_cross_fragment(
         .groupby("bkt")
         .map_groups(_join_emit, batch_format="pyarrow")
     )
-
-
-_KEYSET_CACHE_AL: dict = {}
-
-
-def dyn_table_to_map(t: pa.Table) -> dict[str, list[str]]:
-    """(fqn, cand, rank) rows -> fqn -> ordered candidate list (self /
-    fallback first, then sorted subclass overrides — the
-    `build_dyn_candidates` order)."""
-    rows = sorted(
-        zip(
-            t.column("fqn").to_pylist(),
-            t.column("rank").to_pylist(),
-            t.column("cand").to_pylist(),
-        )
-    )
-    out: dict[str, list[str]] = {}
-    for fqn, _rank, cand in rows:
-        lst = out.setdefault(fqn, [])
-        if cand not in lst:
-            lst.append(cand)
-    return out
 
 
 _HINT_FACT_SCHEMA = pa.schema(

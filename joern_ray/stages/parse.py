@@ -389,8 +389,8 @@ class ParseFragments:
         return make_union_from_tables(nt, et, rows_to_table(reject_rows, REJECTS_SCHEMA))
 
 
-# Per-process ParseFragments memo (same pattern as the pipeline's
-# `_KEYSET_CACHE`): built by the first task a worker process runs, reused
+# Per-process ParseFragments memo (same pattern as
+# `util.worker_get`): built by the first task a worker process runs, reused
 # by every later one.
 _PARSE_MEMO: dict = {}
 

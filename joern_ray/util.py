@@ -2,6 +2,32 @@
 
 from __future__ import annotations
 
+# Per-worker-process memo of broadcast (`ray.put`) values.  The build's
+# UDFs run as plain TASKS (no pinned actor CPUs: actor pools starved
+# concurrent Sort stages into deadlock at low CPU counts), and Ray reuses
+# worker processes across tasks, so each process fetches (and builds)
+# each value once.  Bounded: a new value past the bound clears the memo.
+_WORKER_MEMO: dict = {}
+_WORKER_MEMO_MAX = 8
+
+
+def worker_get(ref, build=None):
+    """`ray.get(ref)` — or `build(ray.get(ref))` when `build` is given —
+    once per worker process.  `build` must be a module-level function:
+    it is part of the memo key."""
+    key = (ref.hex(), build)
+    got = _WORKER_MEMO.get(key)
+    if got is None:
+        import ray
+
+        if len(_WORKER_MEMO) >= _WORKER_MEMO_MAX:
+            _WORKER_MEMO.clear()
+        got = ray.get(ref)
+        if build is not None:
+            got = build(got)
+        _WORKER_MEMO[key] = got
+    return got
+
 
 def fixed_pool(frac: float = 0.5, cap: int = 16, floor: int = 2) -> int:
     """Fixed actor-pool size off the cluster CPU count.

@@ -72,6 +72,35 @@ def test_build_stays_within_execution_budget(
     assert not schema_mismatch_log
 
 
+# the budget's 12 on a corpus without duplicated classes, plus the
+# resolver passes' two probes: the module-dimension scan and the
+# (url, name) probe of canonical_mt, shared by the import resolver and
+# XInheritanceFullNamePass (`<ret:>` recovery adds none)
+ALL_GATES_EXECUTIONS = 14
+
+
+def test_resolver_passes_share_two_probe_executions(
+    build_pages, resolver_corpora, monkeypatch
+):
+    """Every resolver gate open (an import-qualified Java base, an
+    imported Python call and a `<ret:f>` call): the driver regime runs
+    exactly the budget of a build without them plus two probes."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    calls: list = []
+    orig = StreamingExecutor.execute
+
+    def counted(self_, *a, **k):
+        calls.append(threading.current_thread().name)
+        return orig(self_, *a, **k)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    g = build_pages(resolver_corpora["all_gates"], "gates-1")
+    assert g.res["dyn_regime"] == "driver"
+    assert os.path.isdir(os.path.join(g.res["out_dir"], "edges_inherit"))
+    assert len(calls) == ALL_GATES_EXECUTIONS, f"{len(calls)} executions: {calls}"
+
+
 def test_main_chain_error_joins_equivalence_thread(ray_session, tmp_path, monkeypatch):
     """The main chain fails while the equivalence chain is still running:
     the build raises the main chain's error only after the thread ended."""

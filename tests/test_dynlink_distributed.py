@@ -1,12 +1,12 @@
 """Distributed INHERITS_FROM closure (over-gate dyn regime) parity.
 
 The SAFEDISPATCH control plane has two regimes (reference
-`DynamicCallLinker.scala:29-221`): below JOERN_RAY_DYN_GATE a driver
-walk over collected survey key sets; above it the iterative
-INHERITS_FROM self-join (`dyn_candidates_distributed`) where only the
-final candidate pairs reach the driver.  Both must produce identical
-candidate maps and — through the full pipeline — identical edge
-multisets."""
+`DynamicCallLinker.scala:29-221`): up to `DYN_DRIVER_GATE` a driver
+walk over collected survey key sets (`build_dyn_candidates`); past it
+the iterative INHERITS_FROM self-join (`dyn_candidates_distributed`)
+where only the final candidate pairs reach the driver.  Both must
+produce identical candidate maps and — through the full pipeline, with
+every other resolver shared — identical edge multisets."""
 
 import shutil
 
@@ -15,30 +15,13 @@ import pyarrow.compute as pc
 import pytest
 
 
-def _driver_map(td, calls, known):
-    """build_dyn_candidates + the cpg.py naive fallback merge."""
-    from joern_ray.stages.link import build_dyn_candidates
-
-    dyn = build_dyn_candidates(td, calls, frozenset(known))
-    name_to = {}
-    for f in known:
-        name_to.setdefault(f.rsplit(".", 1)[-1], []).append(f)
-    for fqn in calls:
-        if fqn in known or fqn in dyn or "." not in fqn or fqn.startswith("<operator>"):
-            continue
-        c = name_to.get(fqn.rsplit(".", 1)[-1])
-        if c and len(c) == 1:
-            dyn[fqn] = [c[0]]
-    return dyn
-
-
 def test_distributed_candidates_match_driver_walk(ray_session):
     """Planted multi-level hierarchy (depth 3, diamond, superclass
     fallback, naive unique-name): the distributed closure reproduces the
     driver walk's map EXACTLY (keys, candidates, candidate order)."""
     import ray.data as rd
 
-    from joern_ray.stages.link import dyn_candidates_distributed, dyn_table_to_map
+    from joern_ray.stages.link import build_dyn_candidates, dyn_candidates_distributed
 
     td = pa.table(
         {
@@ -50,21 +33,20 @@ def test_distributed_candidates_match_driver_walk(ray_session):
     known = ["A.m", "C.m", "D.m", "E.m", "A.g", "Q.h", "B.f"]
     calls = ["A.m", "B.m", "Z.f", "A.g", "B.q", "h", "<operator>.assignment"]
 
-    drv = _driver_map(td, calls, known)
-    dist = dyn_table_to_map(
-        dyn_candidates_distributed(
-            rd.from_arrow(td),
-            rd.from_arrow(pa.table({"fqn": calls})),
-            rd.from_arrow(pa.table({"fqn": known})),
-        )
+    drv, drv_naive = build_dyn_candidates(td, calls, frozenset(known))
+    dist = dyn_candidates_distributed(
+        rd.from_arrow(td),
+        rd.from_arrow(pa.table({"fqn": calls})),
+        rd.from_arrow(pa.table({"fqn": known})),
+        num_partitions=2,
     )
     # expectations worth pinning explicitly (beyond blind parity):
     assert drv["A.m"] == ["A.m", "C.m", "D.m", "E.m"]  # self + overrides
     assert drv["B.m"] == ["A.m", "C.m", "D.m", "E.m"]  # fallback + overrides
-    assert drv["Z.f"] == ["B.f"]  # naive unique-name
+    assert drv_naive == {"Z.f": ["B.f"]}  # naive unique-name
     assert "A.g" not in drv  # known, no overrides -> no entry
     assert "B.q" not in drv  # nothing resolves
-    assert dist == drv
+    assert dist == (drv, drv_naive)
 
 
 _HIER_DOC = (
@@ -101,7 +83,7 @@ def _build(ray_session, out, gate):
 
     # both regimes at width 2, so the distributed closure really spreads
     with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("JOERN_RAY_DYN_GATE", str(gate))
+        mp.setattr("joern_ray.pipelines.cpg.DYN_DRIVER_GATE", gate)
         mp.setattr("joern_ray.pipelines.cpg.exchange_width", lambda _b: 2)
         return build_cpg(docs_factory, out, "dynpar-1")
 
@@ -126,7 +108,7 @@ def _edge_multiset(res):
 
 @pytest.mark.slow
 def test_full_pipeline_edge_parity_over_gate(ray_session):
-    """JOERN_RAY_DYN_GATE=0 forces the distributed closure; the FULL
+    """`DYN_DRIVER_GATE` 0 forces the distributed closure; the FULL
     edge multiset must equal the driver-regime build's (node ids are
     content hashes, so identical inputs give comparable ids)."""
     res_drv = _build(ray_session, "/tmp/joern_ray_test_dynpar_drv", 10_000_000)
@@ -163,3 +145,20 @@ def test_full_pipeline_edge_parity_over_gate(ray_session):
         if p == "CALL" and s in call_ids and o in byid
     }
     assert {"Animal.speak", "Dog.speak", "Puppy.speak"} <= targets
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("corpus", ["module_tie", "all_gates"])
+def test_regimes_write_equal_edges(build_pages, resolver_corpora, tmp_path, corpus):
+    """The import, inheritance and `<ret:>` resolvers run once for both
+    regimes, and naive linking ranks last in both: the two regimes write
+    the same edge multiset (the module tie-break and the naive-before-
+    import order once made them differ)."""
+    pages = resolver_corpora[corpus]
+    drv = build_pages(pages, f"par-{corpus}", str(tmp_path / "drv"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("joern_ray.pipelines.cpg.DYN_DRIVER_GATE", 0)
+        mp.setattr("joern_ray.pipelines.cpg.exchange_width", lambda _b: 2)
+        dist = build_pages(pages, f"par-{corpus}", str(tmp_path / "dist"))
+    assert (drv.res["dyn_regime"], dist.res["dyn_regime"]) == ("driver", "distributed")
+    assert drv.triples() == dist.triples()

@@ -1,186 +1,54 @@
-"""Import-resolver module-path join golden (reference
+"""Import-resolver module-path join goldens (reference
 `x2cpg/.../frontendspecific/pysrc2cpg/PythonImportResolverPass`):
 `import foo` + `foo.bar()` links CROSS-DOCUMENT to the method defined
 in the doc whose module path (url stem) is `foo` — even when `bar` is
 defined in several docs, which defeats the NaiveCallLinker unique-name
-fallback."""
+fallback.  Every case runs in both dyn regimes, with one answer."""
 
-import pyarrow as pa
-import pyarrow.compute as pc
-
-DOC_FOO = (
-    '<html><body><pre><code class="language-python">'
-    "def bar():\n"
-    "    return 1\n"
-    "</code></pre></body></html>"
-)
-DOC_OTHER = (
-    '<html><body><pre><code class="language-python">'
-    "def bar():\n"
-    "    return 2\n"
-    "</code></pre></body></html>"
-)
-DOC_APP = (
-    '<html><body><pre><code class="language-python">'
-    "import foo\n"
-    "def use():\n"
-    "    return foo.bar()\n"
-    "</code></pre></body></html>"
-)
+import pytest
 
 
-def test_import_module_path_join(ray_session, tmp_path_factory):
-    import ray.data
+def _py(body: str) -> str:
+    return f'<html><body><pre><code class="language-python">{body}</code></pre></body></html>'
 
-    from joern_ray.pipelines.cpg import build_cpg
 
-    out = str(tmp_path_factory.mktemp("imp") / "cpg")
+# extra.py defines bar too, and its url sorts before foo.py's
+PAGES = [
+    ("https://mods/extra.py", _py("def bar():\n    return 2\n")),
+    ("https://mods/foo.py", _py("def bar():\n    return 1\n")),
+    ("https://mods/app.py", _py("import foo\ndef use():\n    return foo.bar()\n")),
+]
 
-    def docs_factory(columns):
-        t = pa.table(
-            {
-                "url": [
-                    "https://mods/foo.py",
-                    "https://mods/other.py",
-                    "https://mods/app.py",
-                ],
-                "warc_ts": pa.array([0, 0, 0], pa.timestamp("us")),
-                "html": pa.array(
-                    [DOC_FOO.encode(), DOC_OTHER.encode(), DOC_APP.encode()],
-                    pa.large_binary(),
-                ),
-                "text": ["", "", ""],
-                "lang": ["en", "en", "en"],
-            }
-        )
-        return ray.data.from_arrow(t)
 
-    res = build_cpg(docs_factory, out, "imp-1")
-    nodes = pa.concat_tables(
-        list(
-            ray.data.read_parquet(
-                res["nodes_path"], columns=["id", "label", "name", "full_name", "url"]
-            ).iter_batches(batch_format="pyarrow")
-        )
-    )
-    edges = pa.concat_tables(
-        list(
-            ray.data.read_parquet(
-                res["edges_path"], columns=["subj", "pred", "obj"]
-            ).iter_batches(batch_format="pyarrow")
-        )
-    )
-    # the foo.bar() call site in app.py
-    call = nodes.filter(
-        pc.and_(
-            pc.and_(
-                pc.equal(nodes.column("label"), "CALL"),
-                pc.equal(pc.coalesce(nodes.column("name"), pa.scalar("")), "bar"),
-            ),
-            pc.equal(nodes.column("url"), "https://mods/app.py"),
-        )
-    )
-    assert call.num_rows == 1
-    cid = call.column("id")[0].as_py()
-    # its CALL edge target must be the METHOD bar DEFINED IN foo.py
-    byid = dict(
-        zip(
-            nodes.column("id").to_pylist(),
-            zip(nodes.column("label").to_pylist(), nodes.column("url").to_pylist()),
-        )
-    )
-    targets = [
-        byid[o]
-        for s, p, o in zip(
-            edges.column("subj").to_pylist(),
-            edges.column("pred").to_pylist(),
-            edges.column("obj").to_pylist(),
-        )
-        if p == "CALL" and s == cid and o in byid
-    ]
+def test_import_module_path_join(build_pages, dyn_regime):
+    g = build_pages(PAGES, "imp-1")
+    assert g.res["dyn_regime"] == dyn_regime
+    # the foo.bar() call site's CALL edge targets the METHOD bar DEFINED IN foo.py
+    targets = g.call_targets("bar", "https://mods/app.py")
     assert targets, "foo.bar() not linked at all"
-    assert all(lab == "METHOD" and u == "https://mods/foo.py" for lab, u in targets), (
+    assert all(lab == "METHOD" and u == "https://mods/foo.py" for lab, u, _fn in targets), (
         f"expected the foo.py definition, got {targets}"
     )
     # IMPORT node exists for the resolver to have something to resolve
-    assert any(
-        lab == "IMPORT"
-        for lab in nodes.column("label").to_pylist()
-    )
+    assert "IMPORT" in g.nodes.column("label").to_pylist()
 
 
-def test_import_module_path_join_distributed_regime(ray_session, tmp_path_factory, monkeypatch):
-    """JOERN_RAY_DYN_GATE=0 forces the distributed control plane; the
-    import-resolver refinement must still link foo.bar() to the foo.py
-    definition (streamed small-probe scans, no driver O(corpus))."""
-    import ray.data
-
-    from joern_ray.pipelines.cpg import build_cpg
-
-    monkeypatch.setenv("JOERN_RAY_DYN_GATE", "0")
-    monkeypatch.setattr("joern_ray.pipelines.cpg.exchange_width", lambda _b: 2)
-    out = str(tmp_path_factory.mktemp("impd") / "cpg")
-
-    def docs_factory(columns):
-        t = pa.table(
-            {
-                "url": [
-                    "https://mods/foo.py",
-                    "https://mods/other.py",
-                    "https://mods/app.py",
-                ],
-                "warc_ts": pa.array([0, 0, 0], pa.timestamp("us")),
-                "html": pa.array(
-                    [DOC_FOO.encode(), DOC_OTHER.encode(), DOC_APP.encode()],
-                    pa.large_binary(),
-                ),
-                "text": ["", "", ""],
-                "lang": ["en", "en", "en"],
-            }
-        )
-        return ray.data.from_arrow(t)
-
-    res = build_cpg(docs_factory, out, "impd-1")
-    assert res["dyn_regime"] == "distributed"
-    nodes = pa.concat_tables(
-        list(
-            ray.data.read_parquet(
-                res["nodes_path"], columns=["id", "label", "name", "full_name", "url"]
-            ).iter_batches(batch_format="pyarrow")
-        )
-    )
-    edges = pa.concat_tables(
-        list(
-            ray.data.read_parquet(
-                res["edges_path"], columns=["subj", "pred", "obj"]
-            ).iter_batches(batch_format="pyarrow")
-        )
-    )
-    call = nodes.filter(
-        pc.and_(
-            pc.and_(
-                pc.equal(nodes.column("label"), "CALL"),
-                pc.equal(pc.coalesce(nodes.column("name"), pa.scalar("")), "bar"),
-            ),
-            pc.equal(nodes.column("url"), "https://mods/app.py"),
-        )
-    )
-    cid = call.column("id")[0].as_py()
-    byid = dict(
-        zip(
-            nodes.column("id").to_pylist(),
-            zip(nodes.column("label").to_pylist(), nodes.column("url").to_pylist()),
-        )
-    )
-    targets = [
-        byid[o]
-        for s, p, o in zip(
-            edges.column("subj").to_pylist(),
-            edges.column("pred").to_pylist(),
-            edges.column("obj").to_pylist(),
-        )
-        if p == "CALL" and s == cid and o in byid
-    ]
-    assert targets and all(
-        lab == "METHOD" and u == "https://mods/foo.py" for lab, u in targets
-    )
+@pytest.mark.parametrize(
+    "corpus, call, expected_url",
+    [
+        # a FILE url stem wins over a go `package util` for module util
+        ("module_tie", ("f", "https://z.ex/app.py"), "https://z.ex/util.py"),
+        # the import resolution outranks the naive unique-name link
+        ("import_before_naive", ("bar", "https://mods/app.py"), "https://mods/foo.py"),
+    ],
+    ids=["module_tie", "import_before_naive"],
+)
+def test_import_targets_agree_across_regimes(
+    build_pages, resolver_corpora, dyn_regime, corpus, call, expected_url
+):
+    g = build_pages(resolver_corpora[corpus], f"imp-{corpus}")
+    assert g.res["dyn_regime"] == dyn_regime
+    targets = g.call_targets(*call)
+    assert len(targets) == 1, targets
+    label, url, _full_name = targets[0]
+    assert (label, url) == ("METHOD", expected_url), targets

@@ -177,182 +177,18 @@ def test_hint_linking_pipeline(ray_session, force_shuffle, tmp_path, monkeypatch
     assert type_id("Foo") in set(ev.column("obj").to_pylist())
 
 
-def test_rettype_iteration2_cross_document(ray_session, tmp_path):
+def test_rettype_iteration2_cross_document(build_pages, resolver_corpora, dyn_regime):
     """SymbolTable iteration 2 golden (`XTypeRecovery.scala:25,151-177`):
     `x = make()` + `x.g()` resolves through make's RETURN type even
     though make is defined in ANOTHER document — iteration 1 (in-doc
-    hints) provably cannot know make's return type."""
-    import ray.data
-
-    from joern_ray.pipelines.cpg import build_cpg
-
-    doc_lib = (
-        '<html><body><pre><code class="language-python">'
-        "class Widget:\n"
-        "    def g(self):\n"
-        "        return 1\n"
-        "def make() -> Widget:\n"
-        "    return Widget()\n"
-        "</code></pre></body></html>"
+    hints) provably cannot know make's return type.  Both dyn regimes
+    resolve it through the same signature lookup."""
+    g = build_pages(resolver_corpora["ret_type"], "ret2-1")
+    assert g.res["dyn_regime"] == dyn_regime
+    targets = g.call_targets("g", "https://ret2/app.py")
+    assert ("METHOD", "https://ret2/lib.py", "Widget.g") in targets, (
+        "x.g() not linked to Widget.g via make's return type"
     )
-    doc_app = (
-        '<html><body><pre><code class="language-python">'
-        "def use():\n"
-        "    x = make()\n"
-        "    return x.g()\n"
-        "</code></pre></body></html>"
-    )
-    out = str(tmp_path / "cpg")
-
-    def docs_factory(columns):
-        t = pa.table(
-            {
-                "url": ["https://ret2/lib.py", "https://ret2/app.py"],
-                "warc_ts": pa.array([0, 0], pa.timestamp("us")),
-                "html": pa.array(
-                    [doc_lib.encode(), doc_app.encode()], pa.large_binary()
-                ),
-                "text": ["", ""],
-                "lang": ["en", "en"],
-            }
-        )
-        return ray.data.from_arrow(t)
-
-    res = build_cpg(docs_factory, out, "ret2-1")
-    nodes = pa.concat_tables(
-        list(
-            ray.data.read_parquet(
-                res["nodes_path"], columns=["id", "label", "name", "full_name", "url"]
-            ).iter_batches(batch_format="pyarrow")
-        )
-    )
-    edges = pa.concat_tables(
-        list(
-            ray.data.read_parquet(
-                res["edges_path"], columns=["subj", "pred", "obj"]
-            ).iter_batches(batch_format="pyarrow")
-        )
-    )
-    call = nodes.filter(
-        pc.and_(
-            pc.and_(
-                pc.equal(nodes.column("label"), "CALL"),
-                pc.equal(pc.coalesce(nodes.column("name"), pa.scalar("")), "g"),
-            ),
-            pc.equal(nodes.column("url"), "https://ret2/app.py"),
-        )
-    )
-    assert call.num_rows == 1
-    cid = call.column("id")[0].as_py()
-    meths = nodes.filter(
-        pc.and_(
-            pc.equal(nodes.column("label"), "METHOD"),
-            pc.equal(
-                pc.coalesce(nodes.column("full_name"), pa.scalar("")), "Widget.g"
-            ),
-        )
-    )
-    assert meths.num_rows == 1
-    target = meths.column("id")[0].as_py()
-    pairs = {
-        (s, o)
-        for s, p, o in zip(
-            edges.column("subj").to_pylist(),
-            edges.column("pred").to_pylist(),
-            edges.column("obj").to_pylist(),
-        )
-        if p == "CALL"
-    }
-    assert (cid, target) in pairs, "x.g() not linked to Widget.g via make's return type"
-
-
-def test_rettype_iteration2_distributed_regime(ray_session, tmp_path, monkeypatch):
-    """The <ret:f> resolution also runs in the distributed control
-    plane (JOERN_RAY_DYN_GATE=0): streamed prefix filter over the
-    survey + signature/membership probes, no driver key-set collect."""
-    import ray.data
-
-    from joern_ray.pipelines.cpg import build_cpg
-
-    monkeypatch.setenv("JOERN_RAY_DYN_GATE", "0")
-    monkeypatch.setattr("joern_ray.pipelines.cpg.exchange_width", lambda _b: 2)
-    doc_lib = (
-        '<html><body><pre><code class="language-python">'
-        "class Widget:\n"
-        "    def g(self):\n"
-        "        return 1\n"
-        "def make() -> Widget:\n"
-        "    return Widget()\n"
-        "</code></pre></body></html>"
-    )
-    doc_app = (
-        '<html><body><pre><code class="language-python">'
-        "def use():\n"
-        "    x = make()\n"
-        "    return x.g()\n"
-        "</code></pre></body></html>"
-    )
-    out = str(tmp_path / "cpg")
-
-    def docs_factory(columns):
-        t = pa.table(
-            {
-                "url": ["https://ret2d/lib.py", "https://ret2d/app.py"],
-                "warc_ts": pa.array([0, 0], pa.timestamp("us")),
-                "html": pa.array(
-                    [doc_lib.encode(), doc_app.encode()], pa.large_binary()
-                ),
-                "text": ["", ""],
-                "lang": ["en", "en"],
-            }
-        )
-        return ray.data.from_arrow(t)
-
-    res = build_cpg(docs_factory, out, "ret2d-1")
-    assert res["dyn_regime"] == "distributed"
-    nodes = pa.concat_tables(
-        list(
-            ray.data.read_parquet(
-                res["nodes_path"], columns=["id", "label", "name", "full_name", "url"]
-            ).iter_batches(batch_format="pyarrow")
-        )
-    )
-    edges = pa.concat_tables(
-        list(
-            ray.data.read_parquet(
-                res["edges_path"], columns=["subj", "pred", "obj"]
-            ).iter_batches(batch_format="pyarrow")
-        )
-    )
-    call = nodes.filter(
-        pc.and_(
-            pc.and_(
-                pc.equal(nodes.column("label"), "CALL"),
-                pc.equal(pc.coalesce(nodes.column("name"), pa.scalar("")), "g"),
-            ),
-            pc.equal(nodes.column("url"), "https://ret2d/app.py"),
-        )
-    )
-    cid = call.column("id")[0].as_py()
-    meths = nodes.filter(
-        pc.and_(
-            pc.equal(nodes.column("label"), "METHOD"),
-            pc.equal(
-                pc.coalesce(nodes.column("full_name"), pa.scalar("")), "Widget.g"
-            ),
-        )
-    )
-    target = meths.column("id")[0].as_py()
-    pairs = {
-        (s, o)
-        for s, p, o in zip(
-            edges.column("subj").to_pylist(),
-            edges.column("pred").to_pylist(),
-            edges.column("obj").to_pylist(),
-        )
-        if p == "CALL"
-    }
-    assert (cid, target) in pairs
 
 
 def test_unresolved_ret_sentinel_never_materializes(ray_session, tmp_path):
