@@ -65,14 +65,19 @@ def execution_plans():
         yield kept
 
 
+def _force_distributed(mp) -> None:
+    """Gate 0 forces the distributed INHERITS_FROM closure, at width 2
+    so its joins really spread."""
+    mp.setattr("joern_ray.pipelines.cpg.DYN_DRIVER_GATE", 0)
+    mp.setattr("joern_ray.pipelines.cpg.exchange_width", lambda _b: 2)
+
+
 @pytest.fixture(params=["driver", "distributed"])
 def dyn_regime(request, monkeypatch):
     """Build in each dyn regime: the default gate keeps the driver's
-    SAFEDISPATCH walk; gate 0 forces the distributed INHERITS_FROM
-    closure, at width 2 so its joins really spread."""
+    SAFEDISPATCH walk; the distributed regime is forced."""
     if request.param == "distributed":
-        monkeypatch.setattr("joern_ray.pipelines.cpg.DYN_DRIVER_GATE", 0)
-        monkeypatch.setattr("joern_ray.pipelines.cpg.exchange_width", lambda _b: 2)
+        _force_distributed(monkeypatch)
     return request.param
 
 
@@ -181,8 +186,8 @@ class BuiltGraph:
         )
 
     def call_targets(self, name: str, url: str) -> list:
-        """(label, url, full_name) of every CALL edge target of the calls
-        named `name` in the doc at `url`, sorted."""
+        """(label, url, full_name) of every CALL edge target of the one
+        call named `name` in the doc at `url`, sorted."""
         n = self.nodes
         rows = list(
             zip(
@@ -194,18 +199,20 @@ class BuiltGraph:
             )
         )
         calls = {i for i, lab, nm, u, _fn in rows if lab == "CALL" and nm == name and u == url}
-        assert calls, f"no call {name} in {url}"
+        assert len(calls) == 1, f"{len(calls)} calls {name} in {url}"
         byid = {i: (lab, u, fn) for i, lab, _nm, u, fn in rows}
         return sorted(byid[o] for s, p, o in self.triples() if p == "CALL" and s in calls)
 
 
 @pytest.fixture
 def build_pages(ray_session, tmp_path):
-    """Build a graph from (url, html) pages into `tmp_path`; returns a
-    `BuiltGraph`."""
+    """Build a graph from (url, html) pages into `tmp_path`, in the
+    distributed dyn regime when asked; returns a `BuiltGraph`."""
     import pyarrow as pa
 
-    def build(pages, fingerprint: str, out: str | None = None) -> BuiltGraph:
+    def build(
+        pages, fingerprint: str, out: str | None = None, distributed: bool = False
+    ) -> BuiltGraph:
         import ray.data
 
         from joern_ray.pipelines.cpg import build_cpg
@@ -223,6 +230,9 @@ def build_pages(ray_session, tmp_path):
                 )
             )
 
-        return BuiltGraph(build_cpg(docs_factory, out or str(tmp_path / "cpg"), fingerprint))
+        with pytest.MonkeyPatch.context() as mp:
+            if distributed:
+                _force_distributed(mp)
+            return BuiltGraph(build_cpg(docs_factory, out or str(tmp_path / "cpg"), fingerprint))
 
     return build

@@ -8,8 +8,6 @@ where only the final candidate pairs reach the driver.  Both must
 produce identical candidate maps and — through the full pipeline, with
 every other resolver shared — identical edge multisets."""
 
-import shutil
-
 import pyarrow as pa
 import pyarrow.compute as pc
 import pytest
@@ -62,76 +60,34 @@ _HIER_DOC = (
 )
 
 
-def _build(ray_session, out, gate):
-    import ray.data
-
-    from joern_ray.pipelines.cpg import build_cpg
-
-    shutil.rmtree(out, ignore_errors=True)
-
-    def docs_factory(columns):
-        t = pa.table(
-            {
-                "url": ["https://dynpar/1"],
-                "warc_ts": pa.array([0], pa.timestamp("us")),
-                "html": pa.array([_HIER_DOC.encode()], pa.large_binary()),
-                "text": [""],
-                "lang": ["en"],
-            }
-        )
-        return ray.data.from_arrow(t)
-
-    # both regimes at width 2, so the distributed closure really spreads
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("joern_ray.pipelines.cpg.DYN_DRIVER_GATE", gate)
-        mp.setattr("joern_ray.pipelines.cpg.exchange_width", lambda _b: 2)
-        return build_cpg(docs_factory, out, "dynpar-1")
-
-
-def _edge_multiset(res):
-    import ray.data
-
-    t = pa.concat_tables(
-        list(
-            ray.data.read_parquet(res["edges_path"], columns=["subj", "pred", "obj"])
-            .iter_batches(batch_format="pyarrow")
-        )
-    )
-    return sorted(
-        zip(
-            t.column("subj").to_pylist(),
-            t.column("pred").to_pylist(),
-            t.column("obj").to_pylist(),
-        )
-    )
-
-
 @pytest.mark.slow
-def test_full_pipeline_edge_parity_over_gate(ray_session):
-    """`DYN_DRIVER_GATE` 0 forces the distributed closure; the FULL
-    edge multiset must equal the driver-regime build's (node ids are
-    content hashes, so identical inputs give comparable ids)."""
-    res_drv = _build(ray_session, "/tmp/joern_ray_test_dynpar_drv", 10_000_000)
-    res_dist = _build(ray_session, "/tmp/joern_ray_test_dynpar_dist", 0)
-    assert res_drv["dyn_regime"] == "driver"
-    assert res_dist["dyn_regime"] == "distributed"
-    e_drv = _edge_multiset(res_drv)
-    e_dist = _edge_multiset(res_dist)
-    assert e_drv == e_dist
-    assert len(e_drv) > 0
+def test_full_pipeline_edge_parity_over_gate(build_pages, resolver_corpora, tmp_path):
+    """Forcing the distributed closure must leave the FULL edge multiset
+    equal to the driver-regime build's (node ids are content hashes, so
+    identical inputs give comparable ids), on the planted hierarchy and
+    on the corpora that open the import, inheritance and `<ret:>`
+    resolvers (a module tie-break and a naive-before-import order once
+    made the regimes differ there).  One test over all three corpora,
+    one pair of builds each."""
+    corpora = {
+        "hierarchy": [("https://dynpar/1", _HIER_DOC)],
+        "module_tie": resolver_corpora["module_tie"],
+        "all_gates": resolver_corpora["all_gates"],
+    }
+    dists = {}
+    for name, pages in corpora.items():
+        drv = build_pages(pages, f"dynpar-{name}", str(tmp_path / name / "drv"))
+        dist = dists[name] = build_pages(
+            pages, f"dynpar-{name}", str(tmp_path / name / "dist"), distributed=True
+        )
+        assert (drv.res["dyn_regime"], dist.res["dyn_regime"]) == ("driver", "distributed")
+        assert drv.triples() == dist.triples(), name
+        assert len(drv.triples()) > 0
     # and the hierarchy actually exercised multi-level dispatch: the
     # a.speak() site carries all three candidates
-    import ray.data
-
-    nodes = pa.concat_tables(
-        list(
-            ray.data.read_parquet(res_dist["nodes_path"])
-            .iter_batches(batch_format="pyarrow")
-        )
-    )
-    byid = dict(
-        zip(nodes.column("id").to_pylist(), nodes.column("full_name").to_pylist())
-    )
+    hier = dists["hierarchy"]
+    nodes = hier.nodes
+    byid = dict(zip(nodes.column("id").to_pylist(), nodes.column("full_name").to_pylist()))
     speak_calls = nodes.filter(
         pc.and_(
             pc.equal(nodes.column("label"), "CALL"),
@@ -139,26 +95,5 @@ def test_full_pipeline_edge_parity_over_gate(ray_session):
         )
     )
     call_ids = set(speak_calls.column("id").to_pylist())
-    targets = {
-        byid.get(o)
-        for s, p, o in e_dist
-        if p == "CALL" and s in call_ids and o in byid
-    }
+    targets = {byid.get(o) for s, p, o in hier.triples() if p == "CALL" and s in call_ids and o in byid}
     assert {"Animal.speak", "Dog.speak", "Puppy.speak"} <= targets
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("corpus", ["module_tie", "all_gates"])
-def test_regimes_write_equal_edges(build_pages, resolver_corpora, tmp_path, corpus):
-    """The import, inheritance and `<ret:>` resolvers run once for both
-    regimes, and naive linking ranks last in both: the two regimes write
-    the same edge multiset (the module tie-break and the naive-before-
-    import order once made them differ)."""
-    pages = resolver_corpora[corpus]
-    drv = build_pages(pages, f"par-{corpus}", str(tmp_path / "drv"))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("joern_ray.pipelines.cpg.DYN_DRIVER_GATE", 0)
-        mp.setattr("joern_ray.pipelines.cpg.exchange_width", lambda _b: 2)
-        dist = build_pages(pages, f"par-{corpus}", str(tmp_path / "dist"))
-    assert (drv.res["dyn_regime"], dist.res["dyn_regime"]) == ("driver", "distributed")
-    assert drv.triples() == dist.triples()

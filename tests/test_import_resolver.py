@@ -5,50 +5,28 @@ in the doc whose module path (url stem) is `foo` — even when `bar` is
 defined in several docs, which defeats the NaiveCallLinker unique-name
 fallback.  Every case runs in both dyn regimes, with one answer."""
 
-import pytest
 
-
-def _py(body: str) -> str:
-    return f'<html><body><pre><code class="language-python">{body}</code></pre></body></html>'
-
-
-# extra.py defines bar too, and its url sorts before foo.py's
-PAGES = [
-    ("https://mods/extra.py", _py("def bar():\n    return 2\n")),
-    ("https://mods/foo.py", _py("def bar():\n    return 1\n")),
-    ("https://mods/app.py", _py("import foo\ndef use():\n    return foo.bar()\n")),
-]
-
-
-def test_import_module_path_join(build_pages, dyn_regime):
-    g = build_pages(PAGES, "imp-1")
+def test_import_module_path_join(build_pages, resolver_corpora, dyn_regime):
+    # aaa.py defines bar too, and its url sorts before foo.py's: the
+    # import resolution outranks the naive unique-name link
+    g = build_pages(resolver_corpora["import_before_naive"], "imp-1")
     assert g.res["dyn_regime"] == dyn_regime
     # the foo.bar() call site's CALL edge targets the METHOD bar DEFINED IN foo.py
     targets = g.call_targets("bar", "https://mods/app.py")
-    assert targets, "foo.bar() not linked at all"
-    assert all(lab == "METHOD" and u == "https://mods/foo.py" for lab, u, _fn in targets), (
+    assert len(targets) == 1, targets
+    label, url, _full_name = targets[0]
+    assert (label, url) == ("METHOD", "https://mods/foo.py"), (
         f"expected the foo.py definition, got {targets}"
     )
     # IMPORT node exists for the resolver to have something to resolve
     assert "IMPORT" in g.nodes.column("label").to_pylist()
 
 
-@pytest.mark.parametrize(
-    "corpus, call, expected_url",
-    [
-        # a FILE url stem wins over a go `package util` for module util
-        ("module_tie", ("f", "https://z.ex/app.py"), "https://z.ex/util.py"),
-        # the import resolution outranks the naive unique-name link
-        ("import_before_naive", ("bar", "https://mods/app.py"), "https://mods/foo.py"),
-    ],
-    ids=["module_tie", "import_before_naive"],
-)
-def test_import_targets_agree_across_regimes(
-    build_pages, resolver_corpora, dyn_regime, corpus, call, expected_url
-):
-    g = build_pages(resolver_corpora[corpus], f"imp-{corpus}")
+def test_import_module_tie_prefers_file_stem(build_pages, resolver_corpora, dyn_regime):
+    """A FILE url stem wins over a go `package util` for the module util."""
+    g = build_pages(resolver_corpora["module_tie"], "imp-module_tie")
     assert g.res["dyn_regime"] == dyn_regime
-    targets = g.call_targets(*call)
+    targets = g.call_targets("f", "https://z.ex/app.py")
     assert len(targets) == 1, targets
     label, url, _full_name = targets[0]
-    assert (label, url) == ("METHOD", expected_url), targets
+    assert (label, url) == ("METHOD", "https://z.ex/util.py"), targets

@@ -185,6 +185,13 @@ def test_rettype_iteration2_cross_document(build_pages, resolver_corpora, dyn_re
     resolve it through the same signature lookup."""
     g = build_pages(resolver_corpora["ret_type"], "ret2-1")
     assert g.res["dyn_regime"] == dyn_regime
+    meths = g.nodes.filter(
+        pc.and_(
+            pc.equal(g.nodes.column("label"), "METHOD"),
+            pc.equal(g.nodes.column("full_name"), "Widget.g"),
+        )
+    )
+    assert meths.num_rows == 1
     targets = g.call_targets("g", "https://ret2/app.py")
     assert ("METHOD", "https://ret2/lib.py", "Widget.g") in targets, (
         "x.g() not linked to Widget.g via make's return type"
